@@ -293,11 +293,16 @@
 // access over H(namespace ‖ view ‖ epoch ‖ duration), whose attestation it
 // returns with every leased reply. A read carries a fence — the client's
 // observed commit watermark — and the primary answers from its committed
-// read view only at or above that fence. The client accepts a reply only
-// when it binds the exact lease it saw granted (replica, view, epoch, a
+// read view only at or above that fence (a primary that has not executed up
+// to the fence yet holds the read until it has). The client accepts a reply
+// only when it binds the exact lease it saw granted (replica, view, epoch, a
 // verified grant attestation — checked once per epoch, not per read) and
 // its watermark covers the fence; anything else falls back to a consensus
-// read of the same key, transparently.
+// read of the same key, transparently. Every session of a cluster shares
+// one cached lease per group: grants are single-flight per group, and the
+// lease is renewed once half of LeaseDuration has passed while reads keep
+// using the still-live binding, so one attested counter access serves all
+// of the cluster's reads on a group for half a lease period.
 //
 // Revocation is deterministic, not clock-dependent: entering a view change
 // revokes locally on every replica; a committed OpLeaseRevoke or a

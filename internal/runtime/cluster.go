@@ -51,6 +51,12 @@ type Cluster struct {
 	Keyring *crypto.Keyring
 	Auth    *trusted.HMACAuthority
 	cfg     ClusterConfig
+
+	// clientTPs are the hub endpoints NewClient attached; Stop closes them
+	// with the replicas' so a stopped cluster leaves no inbox goroutine
+	// (and, through its handler, no node or client) behind.
+	clientMu  sync.Mutex
+	clientTPs []*transport.ChanTransport
 }
 
 // NewCluster builds and starts the cluster.
@@ -163,6 +169,9 @@ func (c *Cluster) Probe() []ReplicaProbe {
 // NewClient attaches a client library for one of the provisioned ids.
 func (c *Cluster) NewClient(id types.ClientID) *Client {
 	tp := c.Hub.Attach(transport.ClientAddr(uint64(id)), 0)
+	c.clientMu.Lock()
+	c.clientTPs = append(c.clientTPs, tp)
+	c.clientMu.Unlock()
 	return NewClient(ClientConfig{
 		ID:         id,
 		N:          c.cfg.N,
@@ -174,9 +183,19 @@ func (c *Cluster) NewClient(id types.ClientID) *Client {
 	})
 }
 
-// Stop halts every node.
+// Stop halts every node and closes every hub endpoint the cluster attached,
+// replicas' and clients' alike. Idempotent.
 func (c *Cluster) Stop() {
-	for _, n := range c.Nodes {
+	c.nodesMu.RLock()
+	nodes := append([]*Node(nil), c.Nodes...)
+	c.nodesMu.RUnlock()
+	for _, n := range nodes {
 		n.Stop()
+		n.cfg.Transport.Close()
+	}
+	c.clientMu.Lock()
+	defer c.clientMu.Unlock()
+	for _, tp := range c.clientTPs {
+		tp.Close()
 	}
 }

@@ -66,6 +66,13 @@ type Node struct {
 	// the event queue.
 	lease    *engine.LeaseTracker
 	readView *kvstore.ReadView
+	// parked holds lease reads whose fence is ahead of the read view: the
+	// fence is a sequence the group committed, so a primary that has not
+	// executed it yet (a reply quorum of backups can outrun it) answers once
+	// it has, instead of refusing the read into a consensus fallback.
+	// Execute releases them after each read-view sync.
+	parkMu sync.Mutex
+	parked []*types.LeaseRead
 
 	events   chan func()
 	stop     chan struct{}
@@ -189,7 +196,7 @@ func (n *Node) onEnvelope(env *wire.Envelope) {
 // are the only state it touches, and both are concurrency-safe. Any reply
 // other than OK/NotFound sends the client down the consensus fallback.
 func (n *Node) serveLeaseRead(lr *types.LeaseRead) {
-	if n.Stopped() {
+	if n.Stopped() || n.parkLeaseRead(lr) {
 		return
 	}
 	reply := &types.LeaseReadReply{Replica: n.cfg.ID, ReadNo: lr.ReadNo, Key: lr.Key}
@@ -215,6 +222,47 @@ func (n *Node) serveLeaseRead(lr *types.LeaseRead) {
 	}
 	n.cfg.Transport.Send(transport.ClientAddr(uint64(lr.Client)),
 		&wire.Envelope{From: n.cfg.ID, Msg: reply})
+}
+
+// maxParkedLeaseReads bounds the lease reads a node holds for its read view
+// to catch up; beyond it reads are answered (refused) at once.
+const maxParkedLeaseReads = 1024
+
+// parkLeaseRead holds lr back when its fence is ahead of the read view. The
+// check repeats under parkMu, which releaseLeaseReads takes after syncing
+// the view, so a read is either parked before the release scans or sees the
+// synced view.
+func (n *Node) parkLeaseRead(lr *types.LeaseRead) bool {
+	if n.readView == nil || lr.Fence <= n.readView.Seq() {
+		return false
+	}
+	n.parkMu.Lock()
+	defer n.parkMu.Unlock()
+	if lr.Fence <= n.readView.Seq() || len(n.parked) >= maxParkedLeaseReads {
+		return false
+	}
+	n.parked = append(n.parked, lr)
+	return true
+}
+
+// releaseLeaseReads answers the parked reads whose fence the read view has
+// reached at seq.
+func (n *Node) releaseLeaseReads(seq types.SeqNum) {
+	n.parkMu.Lock()
+	var ready []*types.LeaseRead
+	kept := n.parked[:0]
+	for _, lr := range n.parked {
+		if lr.Fence <= seq {
+			ready = append(ready, lr)
+		} else {
+			kept = append(kept, lr)
+		}
+	}
+	n.parked = kept
+	n.parkMu.Unlock()
+	for _, lr := range ready {
+		n.serveLeaseRead(lr)
+	}
 }
 
 // Stop halts the node (fail-stop; used by crash tests). It is idempotent.
@@ -454,6 +502,7 @@ func (n *Node) Execute(seq types.SeqNum, b *types.Batch) []types.Result {
 			n.lease.Revoke()
 		}
 		n.store.SyncView(n.readView, seq)
+		n.releaseLeaseReads(seq)
 	}
 	return results
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -219,5 +220,110 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		if string(out) != "OK" {
 			t.Fatalf("result %q", out)
 		}
+	}
+}
+
+// TestClusterStopReleasesEndpoints: Stop closes every hub endpoint the
+// cluster attached — replicas' and clients' — so a stopped cluster keeps no
+// inbox goroutine alive, and with it no node or client its handler closes
+// over.
+func TestClusterStopReleasesEndpoints(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	ecfg := engine.DefaultConfig(4, 1)
+	ecfg.BatchSize = 4
+	ecfg.BatchTimeout = 2 * time.Millisecond
+	cl, err := NewCluster(ClusterConfig{
+		N: 4, F: 1,
+		Engine:         ecfg,
+		NewProtocol:    func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
+		Replies:        2,
+		Clients:        []types.ClientID{1, 2},
+		TrustedProfile: trusted.ProfileSGXEnclave,
+		Records:        1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAndCheck(t, cl, 5)
+	cl.NewClient(2)
+	cl.Stop()
+	cl.Stop() // idempotent
+
+	if n := cl.Hub.Endpoints(); n != 0 {
+		t.Fatalf("hub still has %d endpoints after Stop", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after Stop, %d before the cluster was built", goruntime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestLeaseReadWaitsForFence: a lease read whose fence is a sequence the
+// primary has not executed yet is answered once it has, at or above the
+// fence, rather than refused. A reply quorum of backups can outrun the
+// primary, so a client's first read after a commit may carry such a fence.
+func TestLeaseReadWaitsForFence(t *testing.T) {
+	ecfg := engine.DefaultConfig(4, 1)
+	ecfg.BatchSize = 4
+	ecfg.BatchTimeout = 2 * time.Millisecond
+	ecfg.ReadLease = true
+	ecfg.LeaseDuration = 10 * time.Second
+	cl, err := NewCluster(ClusterConfig{
+		N: 4, F: 1,
+		Engine:         ecfg,
+		NewProtocol:    func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
+		Replies:        2,
+		Clients:        []types.ClientID{1},
+		TrustedProfile: trusted.ProfileSGXEnclave,
+		Records:        1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	client := cl.NewClient(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	_, granted, err := client.SubmitSeq(ctx, kvstore.EncodeLeaseGrant(ecfg.LeaseDuration).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, active := cl.Node(0).LeaseState(); active {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("primary never armed the lease")
+		}
+	}
+
+	fence := granted + 1
+	replies := make(chan *types.LeaseReadReply, 1)
+	go func() {
+		r, err := client.LeaseRead(ctx, 0, 7, fence)
+		if err != nil {
+			t.Errorf("lease read: %v", err)
+		}
+		replies <- r
+	}()
+	select {
+	case r := <-replies:
+		t.Fatalf("read with an unexecuted fence answered at once: %+v", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	wr := &kvstore.Op{Code: kvstore.OpUpdate, Key: 7, Value: []byte("fenced")}
+	if _, seq, err := client.SubmitSeq(ctx, wr.Encode()); err != nil || seq < fence {
+		t.Fatalf("write committed at %d (%v), want at or above the fence %d", seq, err, fence)
+	}
+	r := <-replies
+	if r == nil {
+		return
+	}
+	if r.Status != types.LeaseReadOK || r.Watermark < fence || string(r.Value) != "fenced" {
+		t.Fatalf("parked read answered %+v, want OK at or above fence %d with the fenced write", r, fence)
 	}
 }

@@ -18,21 +18,35 @@ import (
 // request timeout.
 const leaseReadTimeout = 50 * time.Millisecond
 
-// sessionLease is a session's cached view of one group's read lease: the
-// (view, epoch) binding the grant committed under, the primary it authorizes,
-// a conservative client-side expiry, and the placement epoch the grant was
-// made under (an epoch flip invalidates the cache — the server side revoked
-// at the freeze, this avoids pointless fast-path attempts).
-type sessionLease struct {
+// groupLease is the process-wide cached view of one group's read lease,
+// shared by every session of a Cluster: the (view, epoch) binding the grant
+// committed under, the primary it authorizes, the placement epoch it was
+// granted under (a newer placement invalidates it — the server side revoked
+// at the freeze, this avoids pointless fast-path attempts), and two
+// client-side instants anchored at grant submission: renewAt, half the lease
+// duration in, after which the next read renews ahead of expiry, and a
+// conservative expiry after which the binding is no longer used.
+type groupLease struct {
 	mu       sync.Mutex
-	granting bool // single-flight: one grant in consensus at a time
+	granting bool // single-flight: one grant per group in consensus at a time
 	active   bool
 	view     types.View
 	epoch    uint64
 	pmEpoch  uint64
+	renewAt  time.Time
 	expiry   time.Time
 	primary  types.ReplicaID
 	attested bool // grant attestation verified (memoized per epoch)
+}
+
+// live reports whether the cached binding may serve a caller routing under
+// placement epoch pmEpoch at instant now. A binding granted under a newer
+// placement than the caller's still serves: the primary checks range
+// ownership itself, and a session refreshes its placement only when a range
+// it touches moved, so requiring equal epochs would let sessions on
+// different epochs re-grant over each other indefinitely.
+func (l *groupLease) live(pmEpoch uint64, now time.Time) bool {
+	return l.active && l.pmEpoch >= pmEpoch && now.Before(l.expiry)
 }
 
 // leasedGet attempts the leased fast path for one key: ask the believed
@@ -59,7 +73,7 @@ func (s *Session) leasedGetSeq(ctx context.Context, key uint64) (val []byte, seq
 	if s.c.mon.Check(g).State != GroupHealthy {
 		return nil, 0, false, false
 	}
-	l := s.leases[g]
+	l := s.c.leases[g]
 	view, epoch, primary, have := s.ensureLease(ctx, g, l, pm.Epoch())
 	if !have {
 		s.c.obs.Metrics().Counter(obs.MLeaseFallbacks).Inc()
@@ -90,12 +104,12 @@ func (s *Session) leasedGetSeq(ctx context.Context, key uint64) (val []byte, seq
 		s.noteLeaseMiss(l, epoch, false)
 		return nil, 0, false, false
 	}
-	// Session-side fences: the reply must bind the exact lease this session
+	// Session-side fences: the reply must bind the exact lease this process
 	// holds and must not regress below the fence. A revoked-then-reelected
 	// primary fails the view check; a primary serving from a stale view of
 	// state fails the watermark check.
 	if reply.Replica != primary || reply.View != view || reply.Epoch != epoch || reply.Watermark < fence {
-		s.noteLeaseMiss(l, epoch, true)
+		s.noteLeaseMiss(l, epoch, !l.renewedUnder(reply, view, epoch, primary))
 		return nil, 0, false, false
 	}
 	if !s.leaseAttested(l, g, reply, epoch) {
@@ -106,14 +120,30 @@ func (s *Session) leasedGetSeq(ctx context.Context, key uint64) (val []byte, seq
 	return reply.Value, reply.Watermark, reply.Status == types.LeaseReadOK, true
 }
 
+// renewedUnder reports whether a mismatching reply is explained by this
+// process's own renewal: one is in flight and the reply names a newer epoch
+// from the same view and primary — the primary executed the renewal before
+// its commit reached the cache. Such a reply is still a miss, but dropping
+// the cache would only force a second grant.
+func (l *groupLease) renewedUnder(reply *types.LeaseReadReply, view types.View, epoch uint64, primary types.ReplicaID) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.granting && reply.Replica == primary && reply.View == view && reply.Epoch > epoch
+}
+
 // ensureLease returns the cached lease binding for group g, granting a fresh
 // one through consensus when the cache is empty, expired, or from an older
-// placement epoch. Grants are single-flight per session: concurrent readers
-// that lose the race read through consensus this once rather than stampede
-// the group with grant ops.
-func (s *Session) ensureLease(ctx context.Context, g int, l *sessionLease, pmEpoch uint64) (types.View, uint64, types.ReplicaID, bool) {
+// placement epoch, and renewing it once it is past half its duration. Grants
+// are single-flight per group across every session of the cluster: while one
+// is in consensus, other readers keep using a still-live binding, and read
+// through consensus this once when there is none, rather than stampede the
+// group with grant ops (each grant bumps the group's lease epoch, revoking
+// the binding every other reader holds).
+func (s *Session) ensureLease(ctx context.Context, g int, l *groupLease, pmEpoch uint64) (types.View, uint64, types.ReplicaID, bool) {
 	l.mu.Lock()
-	if l.active && l.pmEpoch == pmEpoch && time.Now().Before(l.expiry) {
+	now := time.Now()
+	live := l.live(pmEpoch, now)
+	if live && (l.granting || now.Before(l.renewAt)) {
 		v, e, p := l.view, l.epoch, l.primary
 		l.mu.Unlock()
 		return v, e, p, true
@@ -128,6 +158,7 @@ func (s *Session) ensureLease(ctx context.Context, g int, l *sessionLease, pmEpo
 	// The grant is an ordinary committed op: every replica's store bumps the
 	// lease epoch deterministically, and the primary that executes it arms
 	// its clock-bound tracker with one attested counter access.
+	submitted := time.Now()
 	res, _, view, err := s.submitShardSeq(ctx, g, kvstore.EncodeLeaseGrant(s.c.leaseDur))
 	epoch, decoded := kvstore.DecodeLeaseGrant(res)
 
@@ -135,26 +166,32 @@ func (s *Session) ensureLease(ctx context.Context, g int, l *sessionLease, pmEpo
 	defer l.mu.Unlock()
 	l.granting = false
 	if err != nil || !decoded {
-		return 0, 0, 0, false
+		// A failed renewal leaves a still-live binding in use.
+		if !l.live(pmEpoch, time.Now()) {
+			return 0, 0, 0, false
+		}
+		return l.view, l.epoch, l.primary, true
 	}
 	l.active = true
 	l.view = view
 	l.epoch = epoch
 	l.pmEpoch = pmEpoch
 	l.primary = types.Primary(view, s.c.groups[g].Runtime().N())
-	// Client-side expiry is conservative: measured from after commit, with
-	// the full safety margin, so the session stops using a lease before the
+	// Client-side expiry is conservative: anchored at submission, strictly
+	// before the primary executes the grant and starts its own clock, with
+	// the full safety margin, so the cluster stops using a lease before the
 	// primary stops honouring it.
-	l.expiry = time.Now().Add(s.c.leaseDur - s.c.leaseMargin)
+	l.expiry = submitted.Add(s.c.leaseDur - s.c.leaseMargin)
+	l.renewAt = submitted.Add(s.c.leaseDur / 2)
 	l.attested = false
 	return l.view, l.epoch, l.primary, true
 }
 
 // leaseAttested verifies, once per lease epoch, that the serving primary
 // holds the grant attestation: the trusted counter's proof over the
-// (namespace, view, epoch, duration) binding. Memoized — the fast path pays
-// one HMAC check per grant, not per read.
-func (s *Session) leaseAttested(l *sessionLease, g int, reply *types.LeaseReadReply, epoch uint64) bool {
+// (namespace, view, epoch, duration) binding. Memoized in the shared cache —
+// the process pays one HMAC check per grant, not per read or per session.
+func (s *Session) leaseAttested(l *groupLease, g int, reply *types.LeaseReadReply, epoch uint64) bool {
 	l.mu.Lock()
 	done := l.attested && l.epoch == epoch
 	l.mu.Unlock()
@@ -227,7 +264,7 @@ func (s *Session) multiGetLeased(ctx context.Context, span *obs.Span, keys []uin
 // noteLeaseMiss counts a fast-path miss; drop additionally invalidates the
 // cached lease (when it still names the epoch the miss was observed under)
 // so the next read re-grants instead of re-asking a dead primary.
-func (s *Session) noteLeaseMiss(l *sessionLease, epoch uint64, drop bool) {
+func (s *Session) noteLeaseMiss(l *groupLease, epoch uint64, drop bool) {
 	s.c.obs.Metrics().Counter(obs.MLeaseFallbacks).Inc()
 	if !drop {
 		return

@@ -396,3 +396,147 @@ func TestLeaseCrashNearExpiryFallsBack(t *testing.T) {
 		t.Fatalf("read served but no view change installed (view %d)", v)
 	}
 }
+
+// TestLeaseSharedAcrossSessions: 16 sessions reading one healthy group for
+// less than one lease period commit at most two lease epochs (one grant, at
+// most one renewal) and fall back to consensus for at most a tenth of their
+// Gets. Regression test for per-session lease caches, under which every
+// session's grant bumped the group's lease epoch and so revoked the binding
+// every other session held.
+func TestLeaseSharedAcrossSessions(t *testing.T) {
+	const sessions, getsEach = 16, 40
+	cfg := leaseConfig(1)
+	cfg.Group.Engine.LeaseDuration = 5 * time.Second
+	cfg.Group.Clients = nil
+	for id := types.ClientID(1); id <= sessions; id++ {
+		cfg.Group.Clients = append(cfg.Group.Clients, id)
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, id := range cfg.Group.Clients {
+		sess := c.Session(id)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := uint64(0); k < getsEach; k++ {
+				if _, err := sess.Get(ctx, k); err != nil {
+					t.Errorf("session %d get %d: %v", id, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed >= c.leaseDur {
+		t.Fatalf("gets took %v, longer than one lease period (%v)", elapsed, c.leaseDur)
+	}
+
+	gets := uint64(sessions * getsEach)
+	epoch, _ := c.Group(0).Runtime().Node(0).LeaseState()
+	fallbacks := c.obs.Metrics().Counter(obs.MLeaseFallbacks).Value()
+	t.Logf("%d gets: %d lease epochs, %d fallbacks", gets, epoch, fallbacks)
+	if epoch > 2 {
+		t.Fatalf("%d lease epochs committed, want at most 2", epoch)
+	}
+	if fallbacks*10 > gets {
+		t.Fatalf("%d of %d gets fell back to consensus, want at most 10%%", fallbacks, gets)
+	}
+}
+
+// TestLeaseExpiryAnchoredAtSubmission: the cached client-side expiry counts
+// from when the grant was submitted, not from its commit, so it never
+// outlives the primary's own deadline, which starts when the primary
+// executes the grant. A long batch timeout makes the commit visibly late.
+func TestLeaseExpiryAnchoredAtSubmission(t *testing.T) {
+	const commitDelay = 100 * time.Millisecond
+	cfg := leaseConfig(1)
+	cfg.Group.Engine.BatchTimeout = commitDelay
+	cfg.Group.Engine.LeaseDuration = 5 * time.Second
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	submitted := time.Now()
+	if _, err := c.Session(1).Get(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(submitted); took < commitDelay {
+		t.Fatalf("granting Get took %v, want at least the %v batch timeout", took, commitDelay)
+	}
+	l := c.leases[0]
+	l.mu.Lock()
+	active, expiry := l.active, l.expiry
+	l.mu.Unlock()
+	if !active {
+		t.Fatal("no lease cached after a granting Get")
+	}
+	// The grant went out right after submitted; its commit came at least
+	// commitDelay later. Half of that is ample slack for the routing work
+	// before submission.
+	if limit := submitted.Add(c.leaseDur - c.leaseMargin + commitDelay/2); expiry.After(limit) {
+		t.Fatalf("cached expiry %v past submission + duration - margin (+%v slack)",
+			expiry.Sub(submitted), commitDelay/2)
+	}
+}
+
+// TestLeaseSharedAcrossPlacementEpochs: after a rebalance, a session still
+// routing under the old placement (none of its keys moved, so nothing makes
+// it refresh) and one routing under the new placement share the group's
+// lease. Alternating their reads costs at most two grants, not one per
+// alternation.
+func TestLeaseSharedAcrossPlacementEpochs(t *testing.T) {
+	cfg := leaseConfig(2)
+	cfg.Group.Engine.LeaseDuration = 5 * time.Second
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	fresh, stale := c.Session(1), c.Session(2)
+
+	full := c.Placement().GroupRanges(0)[0]
+	moved := Range{Start: full.Start, End: full.Start + (full.End-full.Start)/2}
+	if _, err := fresh.Rebalance(ctx, moved, 1); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	fresh.refreshPlacement()
+	if fresh.Epoch() <= stale.Epoch() {
+		t.Fatalf("placement epochs fresh=%d stale=%d, want the fresh session ahead", fresh.Epoch(), stale.Epoch())
+	}
+	var keys []uint64
+	for k := uint64(10_000); len(keys) < 4; k++ {
+		if c.Placement().ShardFor(k) == 0 {
+			keys = append(keys, k)
+		}
+	}
+
+	before, _ := c.Group(0).Runtime().Node(0).LeaseState()
+	for i := 0; i < 20; i++ {
+		for _, s := range []*Session{stale, fresh} {
+			if _, err := s.Get(ctx, keys[i%len(keys)]); err != nil {
+				t.Fatalf("get: %v", err)
+			}
+		}
+	}
+	after, _ := c.Group(0).Runtime().Node(0).LeaseState()
+	if grants := after - before; grants > 2 {
+		t.Fatalf("%d lease grants for 40 alternating reads, want at most 2", grants)
+	}
+	if stale.Epoch() == fresh.Epoch() {
+		t.Fatal("the stale session refreshed its placement; the test no longer mixes epochs")
+	}
+}

@@ -135,10 +135,12 @@ type Cluster struct {
 
 	// Read-lease knobs mirrored from the group template (lease.go): sessions
 	// grant leases on demand with this duration and stop using them a safety
-	// margin before the primary does.
+	// margin before the primary does. leases caches, per group, the one
+	// binding every session's single-key Gets ride past consensus.
 	leaseOn     bool
 	leaseDur    time.Duration
 	leaseMargin time.Duration
+	leases      []*groupLease
 
 	// Transaction substrate (see txn.go): the coordinator-side attested
 	// counter with its own authority, the decision log, and the id
@@ -215,6 +217,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		c.groups = append(c.groups, g)
+		c.leases = append(c.leases, &groupLease{})
 	}
 	c.mon = newHealthMonitor(c, cfg.Health, cfg.Group.Engine.ViewChangeTimeout)
 	c.exporter = &obs.Exporter{O: cfg.Obs, Shards: c.shardExports, Healthy: c.healthyNow}
@@ -454,16 +457,13 @@ func (c *Cluster) Stats() Stats {
 // answers WrongShard (the range was handed away) or RangeMigrating (a
 // handoff is in flight) the session refreshes its placement from the
 // cluster and retries transparently, so callers never observe an epoch
-// flip beyond a latency blip.
+// flip beyond a latency blip. Leased reads ride the cluster's per-group
+// lease cache (lease.go), which every session shares.
 type Session struct {
 	c       *Cluster
 	id      types.ClientID
 	clients []*runtime.Client
 	coord   *txn.Coordinator
-
-	// leases caches, per group, the read-lease binding this session granted
-	// (lease.go); single-key Gets ride it past consensus when it is live.
-	leases []*sessionLease
 
 	pmMu sync.Mutex
 	pm   *PlacementMap
@@ -475,7 +475,6 @@ func (c *Cluster) Session(id types.ClientID) *Session {
 	s := &Session{c: c, id: id, pm: c.Placement()}
 	for _, g := range c.groups {
 		s.clients = append(s.clients, g.NewClient(id))
-		s.leases = append(s.leases, &sessionLease{})
 	}
 	s.coord = txn.NewCoordinator(txn.Config{
 		Arbiter:  c.arbiter,

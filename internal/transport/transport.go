@@ -73,6 +73,13 @@ func (h *Hub) Attach(addr Addr, buf int) *ChanTransport {
 	return t
 }
 
+// Endpoints returns how many endpoints are attached (closed ones detach).
+func (h *Hub) Endpoints() int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return len(h.ports)
+}
+
 // lookup finds an endpoint.
 func (h *Hub) lookup(addr Addr) *ChanTransport {
 	h.mu.RLock()

@@ -21,6 +21,7 @@ const (
 	magic        = 0x46545255 // "FTRU"
 	maxFrameSize = 64 << 20   // 64 MiB: far above any legitimate batch
 	headerSize   = 8          // magic u32 + length u32
+	readChunk    = 64 << 10   // first body allocation; doubles as bytes arrive
 )
 
 // Errors returned by the codec.
@@ -126,9 +127,21 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	if n > maxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
+	// The body buffer grows as bytes arrive instead of trusting the header
+	// up front: a peer that claims a huge frame and sends little costs one
+	// chunk, not the claim.
+	body := make([]byte, min(n, readChunk))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
+	}
+	for read := len(body); read < int(n); read = len(body) {
+		body = append(body, make([]byte, min(int(n)-read, read))...)
+		if _, err := io.ReadFull(r, body[read:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return decodeBody(body)
 }

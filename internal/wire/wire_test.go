@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +37,10 @@ func sampleEnvelopes() []*Envelope {
 		{Client: 7, IsClient: true, Msg: &types.ClientResend{Request: req}},
 		{From: 2, Msg: &types.Forward{Replica: 2, Request: req}},
 		{From: 2, Msg: &types.Hello{Replica: 2}},
+		{Client: 7, IsClient: true, Msg: &types.LeaseRead{Client: 7, ReadNo: 4, Key: 11, Fence: 5}},
+		{From: 0, Msg: &types.LeaseReadReply{Replica: 0, ReadNo: 4, Key: 11, View: 1, Epoch: 2,
+			Watermark: 5, Status: types.LeaseReadOK, Value: []byte("v"), Attest: att}},
+		{From: 0, Msg: &types.WindowAttest{Replica: 0, Cert: []byte("cert")}},
 	}
 }
 
@@ -105,6 +111,38 @@ func TestTruncatedFrameRejected(t *testing.T) {
 	}
 }
 
+// A frame larger than the first read chunk streams through intact, and a
+// header claiming a huge frame that never arrives is rejected after
+// allocating what was sent, not what was claimed.
+func TestLargeAndOverclaimedFrames(t *testing.T) {
+	big := &Envelope{From: 1, Msg: &types.ClientRequest{Client: 7, ReqNo: 1,
+		Op: bytes.Repeat([]byte("x"), 5*readChunk/2)}}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, big) {
+		t.Fatal("large frame changed in transit")
+	}
+
+	var hdr [headerSize + 16]byte
+	binary.BigEndian.PutUint32(hdr[0:4], magic)
+	binary.BigEndian.PutUint32(hdr[4:8], maxFrameSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err != io.ErrUnexpectedEOF {
+		t.Fatalf("overclaimed frame err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*readChunk {
+		t.Fatalf("overclaimed frame allocated %d bytes", alloc)
+	}
+}
+
 // Property: arbitrary client requests survive the codec bit-for-bit.
 // (gob canonicalizes empty slices to nil, which is semantically identical
 // for byte payloads, so the property normalizes them.)
@@ -131,4 +169,47 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecode feeds arbitrary bytes to both frame decoders. Neither may
+// panic; they must agree on every input; and whatever they accept must
+// re-encode into a frame that decodes to the same envelope.
+func FuzzDecode(f *testing.F) {
+	for _, env := range sampleEnvelopes() {
+		frame, err := Encode(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := Decode(data)
+		r := bytes.NewReader(data)
+		streamed, streamErr := ReadFrame(r)
+		if err != nil {
+			// Decode wants exactly one frame; ReadFrame stops after the
+			// first, so it may accept only when bytes trail that frame.
+			if streamErr == nil && r.Len() == 0 {
+				t.Fatalf("ReadFrame accepted a whole frame Decode rejected: %v", err)
+			}
+			return
+		}
+		if streamErr != nil {
+			t.Fatalf("Decode accepted a frame ReadFrame rejected: %v", streamErr)
+		}
+		if !reflect.DeepEqual(env, streamed) {
+			t.Fatalf("decoders disagree:\n  Decode    %#v\n  ReadFrame %#v", env, streamed)
+		}
+		frame, err := Encode(env)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded %T: %v", env.Msg, err)
+		}
+		again, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded %T: %v", env.Msg, err)
+		}
+		if !reflect.DeepEqual(env, again) {
+			t.Fatalf("re-encode round trip changed %T:\n  in  %#v\n  out %#v", env.Msg, env, again)
+		}
+	})
 }

@@ -58,7 +58,9 @@ type ShardOptions struct {
 	// reads" section). Off by default.
 	ReadLease bool
 	// LeaseDuration bounds how long one committed grant authorizes local
-	// serving before the primary must re-grant (default 100ms).
+	// serving before the primary must re-grant (default 100ms). The
+	// cluster holds one lease per group, shared by every session, and
+	// renews it once half of this duration has passed.
 	LeaseDuration time.Duration
 	// Observe enables cluster-wide observability: request tracing, the
 	// metrics registry, the attested-access audit stream and the
