@@ -111,6 +111,10 @@ type Status struct {
 	// LastExecuted is the highest consensus sequence number applied to the
 	// state machine — the replica's commit progress.
 	LastExecuted types.SeqNum
+	// Backlog is the number of committed batches waiting behind a missing
+	// earlier slot (Executor.Pending); it stays non-zero on a replica
+	// stranded behind a gap.
+	Backlog int
 	// ViewChanges counts the views this replica has installed (0 while the
 	// genesis view holds) — churn here is the degradation signal per-shard
 	// health monitoring aggregates.

@@ -74,11 +74,28 @@ const (
 	// MConsensusReadLatency (histogram): end-to-end latency of single-key
 	// reads that went through consensus (no lease, or after a fallback).
 	MConsensusReadLatency = "read_latency_consensus_ns"
+	// MExecBacklog (gauge, per-replica label): batches this replica has
+	// committed but cannot execute yet because an earlier slot is missing.
+	MExecBacklog = "exec_backlog_batches"
+	// MStableLag (gauge, per-replica label): slots between the group's
+	// stable checkpoint and this replica's last executed slot (0 when
+	// execution is at or past it). A replica stranded behind a gap shows
+	// this and MExecBacklog growing.
+	MStableLag = "stable_lag_slots"
 )
 
 // GroupLabel qualifies a metric name with a per-group (per-shard) label.
 func GroupLabel(name string, group int) string {
 	return fmt.Sprintf("%s{group=%d}", name, group)
+}
+
+// ReplicaLabel qualifies a metric name with a per-replica label, plus the
+// replica's group when it belongs to a shard group (group >= 0).
+func ReplicaLabel(name string, group, replica int) string {
+	if group < 0 {
+		return fmt.Sprintf("%s{replica=%d}", name, replica)
+	}
+	return fmt.Sprintf("%s{group=%d,replica=%d}", name, group, replica)
 }
 
 // Registry hands out named counters, gauges, and histograms. Instruments

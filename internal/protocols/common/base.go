@@ -7,6 +7,7 @@ package common
 
 import (
 	"encoding/binary"
+	"maps"
 	"time"
 
 	"flexitrust/internal/crypto"
@@ -30,8 +31,10 @@ type Hooks interface {
 	// ProcessNewView validates and installs a NewView at a backup,
 	// returning false to reject it. On success the Base enters the view.
 	ProcessNewView(nv *types.NewView) bool
-	// OnStableCheckpoint lets the protocol GC per-slot state.
-	OnStableCheckpoint(seq types.SeqNum)
+	// OnStableCheckpoint lets the protocol GC per-slot state at or below
+	// floor, which is Base.GCFloor: a stable checkpoint this replica has
+	// not executed yet does not truncate the slots it still needs.
+	OnStableCheckpoint(floor types.SeqNum)
 	// CheckpointAttestation optionally attaches a trusted attestation to
 	// checkpoint messages (trust-bft protocols); may return nil.
 	CheckpointAttestation(seq types.SeqNum, state types.Digest) *types.Attestation
@@ -97,6 +100,10 @@ type Base struct {
 	stableSnapshot   any
 	snapshotSeq      types.SeqNum
 	pendingSnapshots map[types.SeqNum]any
+
+	// backlog and lag export Exec.Pending() and StableSeq − LastExecuted;
+	// resolved once in InitBase so the per-execution update is two stores.
+	backlog, lag *obs.Gauge
 }
 
 // InitBase wires the shared machinery. respond is the protocol's response
@@ -135,8 +142,45 @@ func (b *Base) InitBase(env engine.Env, cfg engine.Config, hooks Hooks,
 	b.Batcher.SetGate(b.proposeGate)
 	b.Ckpt = engine.NewCheckpointTracker(b.ckptQuorum(), func(seq types.SeqNum) {
 		b.promoteSnapshot(seq)
-		hooks.OnStableCheckpoint(seq)
+		b.truncate()
 	})
+	// Per-replica gauges: the group label follows the journal's convention
+	// (trusted namespace s+1 is shard s; standalone clusters are -1).
+	group, id := int(cfg.TrustedNamespace)-1, int(env.ID())
+	m := cfg.Observer.Metrics()
+	b.backlog = m.Gauge(obs.ReplicaLabel(obs.MExecBacklog, group, id))
+	b.lag = m.Gauge(obs.ReplicaLabel(obs.MStableLag, group, id))
+}
+
+// GCFloor is the highest slot whose consensus state this replica may refuse
+// or discard: min(stable checkpoint, own last executed). A slot the group
+// made stable while this replica was still verifying its proposal has not
+// executed here; its proposal and the votes kept for it are what let it
+// commit, so a stable checkpoint alone is no licence to drop them.
+// Admitting such a slot changes nothing about what can commit: it still
+// needs the normal vote quorum and the attested binding.
+func (b *Base) GCFloor() types.SeqNum {
+	return min(b.Ckpt.StableSeq(), b.Exec.LastExecuted())
+}
+
+// TruncateSlots deletes every entry of a per-slot map at or below floor.
+func TruncateSlots[V any](m map[types.SeqNum]V, floor types.SeqNum) {
+	maps.DeleteFunc(m, func(s types.SeqNum, _ V) bool { return s <= floor })
+}
+
+// truncate GCs per-slot protocol state up to GCFloor and refreshes the
+// execution-lag gauges.
+func (b *Base) truncate() {
+	b.Hooks.OnStableCheckpoint(b.GCFloor())
+	b.reportLag()
+}
+
+// reportLag publishes the executor backlog and how far execution trails
+// the stable checkpoint; a stranded replica shows both growing.
+func (b *Base) reportLag() {
+	b.backlog.Set(int64(b.Exec.Pending()))
+	lag := int64(b.Ckpt.StableSeq()) - int64(b.Exec.LastExecuted())
+	b.lag.Set(max(lag, 0))
 }
 
 // ckptQuorum returns the checkpoint quorum (configured or VCQuorum).
@@ -191,6 +235,7 @@ func (b *Base) Status() engine.Status {
 		Primary:      b.PrimaryID(),
 		InViewChange: b.InViewChange,
 		LastExecuted: b.Exec.LastExecuted(),
+		Backlog:      b.Exec.Pending(),
 		ViewChanges:  b.viewChanges,
 	}
 }
@@ -251,14 +296,21 @@ func (b *Base) RespondAndCache(resp *types.Response) {
 }
 
 // maybeCheckpoint broadcasts a checkpoint at every interval boundary and
-// records a local state snapshot candidate for speculative rollback.
+// records a local state snapshot candidate for speculative rollback. A
+// replica whose execution reaches a checkpoint the group already made
+// stable adopts it here: that is when its own GC floor moves.
 func (b *Base) maybeCheckpoint(seq types.SeqNum, _ *types.Batch) {
+	b.reportLag()
 	every := b.Cfg.CheckpointEvery
 	if every == 0 || uint64(seq)%every != 0 {
 		return
 	}
 	if b.CaptureSnapshots {
 		b.pendingSnapshots[seq] = b.Env.SnapshotState()
+	}
+	if seq <= b.Ckpt.StableSeq() {
+		b.promoteSnapshot(seq)
+		b.truncate()
 	}
 	ck := &types.Checkpoint{
 		Replica:     b.Env.ID(),

@@ -224,23 +224,11 @@ func (w *WindowState) Admit(wc *crypto.WindowCert, enc []byte) []*types.Preprepa
 	return ready
 }
 
-// GC drops per-slot bookkeeping at and below the stable checkpoint.
-func (w *WindowState) GC(stable types.SeqNum) {
-	for seq := range w.certs {
-		if seq <= stable {
-			delete(w.certs, seq)
-		}
-	}
-	for seq := range w.covered {
-		if seq <= stable {
-			delete(w.covered, seq)
-		}
-	}
-	for seq := range w.pending {
-		if seq <= stable {
-			delete(w.pending, seq)
-		}
-	}
+// GC drops per-slot bookkeeping at and below floor (Base.GCFloor).
+func (w *WindowState) GC(floor types.SeqNum) {
+	TruncateSlots(w.certs, floor)
+	TruncateSlots(w.covered, floor)
+	TruncateSlots(w.pending, floor)
 }
 
 // RegisterWindowAudit marks the group's trusted namespace as windowed in

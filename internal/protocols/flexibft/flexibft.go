@@ -287,7 +287,7 @@ func (p *Protocol) preprepareGuards(from types.ReplicaID, pp *types.Preprepare) 
 	if _, ok := p.preprepares[pp.Seq]; ok {
 		return false // duplicate (the attested counter makes conflicts impossible)
 	}
-	return pp.Seq > p.Ckpt.StableSeq() && !p.committed[pp.Seq]
+	return pp.Seq > p.GCFloor() && !p.committed[pp.Seq]
 }
 
 // acceptAndVote records the proposal and emits this replica's vote.
@@ -307,7 +307,7 @@ func (p *Protocol) accept(pp *types.Preprepare) {
 
 // onPrepare handles a backup's vote.
 func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
-	if m.View != p.View || m.Replica != from {
+	if m.View != p.View || m.Replica != from || m.Seq <= p.GCFloor() {
 		return
 	}
 	p.addPrepare(m)
@@ -564,26 +564,14 @@ func (p *Protocol) installProposals(nv *types.NewView) {
 }
 
 // OnStableCheckpoint implements common.Hooks.
-func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
+func (p *Protocol) OnStableCheckpoint(floor types.SeqNum) {
 	if p.win.Enabled() {
-		p.win.GC(seq)
+		p.win.GC(floor)
 	}
-	p.prepares.GC(seq)
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-		}
-	}
-	for s := range p.committed {
-		if s <= seq {
-			delete(p.committed, s)
-		}
-	}
-	for s := range p.qcs {
-		if s <= seq {
-			delete(p.qcs, s)
-		}
-	}
+	p.prepares.GC(floor)
+	common.TruncateSlots(p.preprepares, floor)
+	common.TruncateSlots(p.committed, floor)
+	common.TruncateSlots(p.qcs, floor)
 }
 
 // CheckpointAttestation implements common.Hooks: FlexiTrust checkpoints need

@@ -160,3 +160,10 @@ func TestSequentialVariantGatesOnExecution(t *testing.T) {
 		t.Fatalf("second instance never proposed after first committed (got %d)", got)
 	}
 }
+
+// TestCheckpointOvertakenBackupExecutesSlot: a backup whose Preprepare for
+// slot S lands after the group made checkpoint S stable still admits it,
+// commits from the votes it kept, and executes S.
+func TestCheckpointOvertakenBackupExecutesSlot(t *testing.T) {
+	ptest.CheckpointOvertakesBackup(t, cfg4(), func(cfg engine.Config) engine.Protocol { return New(cfg) }, 3, 2)
+}

@@ -285,7 +285,7 @@ func (p *Protocol) preprepareGuards(from types.ReplicaID, pp *types.Preprepare) 
 	if p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return false
 	}
-	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.Ckpt.StableSeq() {
+	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.GCFloor() {
 		return false
 	}
 	return true
@@ -563,20 +563,12 @@ func (p *Protocol) mustRollback(nv *types.NewView, stable types.SeqNum) bool {
 }
 
 // OnStableCheckpoint implements common.Hooks.
-func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
+func (p *Protocol) OnStableCheckpoint(floor types.SeqNum) {
 	if p.win.Enabled() {
-		p.win.GC(seq)
+		p.win.GC(floor)
 	}
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-		}
-	}
-	for s := range p.qcs {
-		if s <= seq {
-			delete(p.qcs, s)
-		}
-	}
+	common.TruncateSlots(p.preprepares, floor)
+	common.TruncateSlots(p.qcs, floor)
 }
 
 // CheckpointAttestation implements common.Hooks.

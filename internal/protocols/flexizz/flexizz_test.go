@@ -181,3 +181,10 @@ func TestSequentialAblationWaitsForAcks(t *testing.T) {
 		t.Fatalf("instance 2 not proposed after acks (got %d)", got)
 	}
 }
+
+// TestCheckpointOvertakenBackupExecutesSlot: a backup whose Preprepare for
+// slot S lands after the group made checkpoint S stable still executes S
+// speculatively instead of refusing it.
+func TestCheckpointOvertakenBackupExecutesSlot(t *testing.T) {
+	ptest.CheckpointOvertakesBackup(t, cfg4(), func(cfg engine.Config) engine.Protocol { return New(cfg) }, 3, 2)
+}

@@ -193,13 +193,13 @@ func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 		return
 	}
 	if p.Cfg.EnableQC {
-		if p.committed[m.Seq] || m.Seq <= p.Ckpt.StableSeq() {
+		if p.committed[m.Seq] || m.Seq <= p.GCFloor() {
 			return
 		}
 		p.Env.VerifyAttestationAsync(m.Attest, func(ok bool) {
 			// Re-check: events (commits, view changes) may have landed
 			// between submission and completion.
-			if ok && m.View == p.View && !p.committed[m.Seq] {
+			if ok && m.View == p.View && !p.committed[m.Seq] && m.Seq > p.GCFloor() {
 				p.addPrepare(m)
 			}
 		})
@@ -385,23 +385,11 @@ func (p *Protocol) installNewView(nv *types.NewView, stable types.SeqNum, isPrim
 }
 
 // OnStableCheckpoint implements common.Hooks.
-func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
-	p.prepares.GC(seq)
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-		}
-	}
-	for s := range p.committed {
-		if s <= seq {
-			delete(p.committed, s)
-		}
-	}
-	for s := range p.qcs {
-		if s <= seq {
-			delete(p.qcs, s)
-		}
-	}
+func (p *Protocol) OnStableCheckpoint(floor types.SeqNum) {
+	p.prepares.GC(floor)
+	common.TruncateSlots(p.preprepares, floor)
+	common.TruncateSlots(p.committed, floor)
+	common.TruncateSlots(p.qcs, floor)
 }
 
 // CheckpointAttestation implements common.Hooks: trust-bft checkpoints carry

@@ -157,3 +157,11 @@ func TestViewChangePreservesCommittedRequest(t *testing.T) {
 		t.Fatal("new view does not make progress")
 	}
 }
+
+// TestCheckpointOvertakenBackupExecutesSlot: at f=2 the backup needs a
+// peer's vote for slot S besides the primary's and its own, so the votes
+// that arrived around checkpoint S must survive it.
+func TestCheckpointOvertakenBackupExecutesSlot(t *testing.T) {
+	cfg := engine.DefaultConfig(5, 2)
+	ptest.CheckpointOvertakesBackup(t, cfg, func(cfg engine.Config) engine.Protocol { return New(cfg) }, 4, 2)
+}

@@ -371,17 +371,9 @@ func (p *Protocol) adoptNewView(nv *types.NewView, stable types.SeqNum) {
 }
 
 // OnStableCheckpoint implements common.Hooks.
-func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-		}
-	}
-	for s := range p.qcs {
-		if s <= seq {
-			delete(p.qcs, s)
-		}
-	}
+func (p *Protocol) OnStableCheckpoint(floor types.SeqNum) {
+	common.TruncateSlots(p.preprepares, floor)
+	common.TruncateSlots(p.qcs, floor)
 }
 
 // CheckpointAttestation implements common.Hooks: trusted counter state bound

@@ -150,7 +150,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 		}
 		return
 	}
-	if pp.Seq <= p.Ckpt.StableSeq() {
+	if pp.Seq <= p.GCFloor() {
 		return
 	}
 	p.preprepares[pp.Seq] = pp
@@ -373,17 +373,13 @@ func (p *Protocol) installProposals(nv *types.NewView) {
 }
 
 // OnStableCheckpoint implements common.Hooks.
-func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
-	p.prepares.GC(seq)
-	p.commits.GC(seq)
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-			delete(p.prepared, s)
-			delete(p.committed, s)
-			delete(p.qcs, s)
-		}
-	}
+func (p *Protocol) OnStableCheckpoint(floor types.SeqNum) {
+	p.prepares.GC(floor)
+	p.commits.GC(floor)
+	common.TruncateSlots(p.preprepares, floor)
+	common.TruncateSlots(p.prepared, floor)
+	common.TruncateSlots(p.committed, floor)
+	common.TruncateSlots(p.qcs, floor)
 }
 
 // CheckpointAttestation implements common.Hooks: PBFT has no trusted

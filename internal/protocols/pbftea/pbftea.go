@@ -181,7 +181,7 @@ func (p *Protocol) onPreprepare(from types.ReplicaID, pp *types.Preprepare) {
 	if p.InViewChange || pp.View != p.View || from != p.PrimaryID() {
 		return
 	}
-	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.Ckpt.StableSeq() {
+	if _, dup := p.preprepares[pp.Seq]; dup || pp.Seq <= p.GCFloor() {
 		return
 	}
 	if !p.validAttest(from, pp.Attest, logPreprepare, pp.Batch.Digest) {
@@ -208,11 +208,11 @@ func (p *Protocol) onPrepare(from types.ReplicaID, m *types.Prepare) {
 	if m.View != p.View || m.Replica != from {
 		return
 	}
-	if p.Cfg.EnableQC && (p.prepared[m.Seq] || m.Seq <= p.Ckpt.StableSeq()) {
+	if p.Cfg.EnableQC && (p.prepared[m.Seq] || m.Seq <= p.GCFloor()) {
 		return
 	}
 	p.verifyVoteAsync(from, m.Attest, logPrepare, m.Digest, func() {
-		if m.View == p.View && !p.prepared[m.Seq] {
+		if m.View == p.View && !p.prepared[m.Seq] && m.Seq > p.GCFloor() {
 			p.addPrepare(m)
 		}
 	})
@@ -245,11 +245,11 @@ func (p *Protocol) onCommit(from types.ReplicaID, m *types.Commit) {
 	if m.View != p.View || m.Replica != from {
 		return
 	}
-	if p.Cfg.EnableQC && (p.committed[m.Seq] || m.Seq <= p.Ckpt.StableSeq()) {
+	if p.Cfg.EnableQC && (p.committed[m.Seq] || m.Seq <= p.GCFloor()) {
 		return
 	}
 	p.verifyVoteAsync(from, m.Attest, logCommit, m.Digest, func() {
-		if m.View == p.View && !p.committed[m.Seq] {
+		if m.View == p.View && !p.committed[m.Seq] && m.Seq > p.GCFloor() {
 			p.addCommit(m)
 		}
 	})
@@ -412,17 +412,13 @@ func (p *Protocol) installProposals(nv *types.NewView) {
 // OnStableCheckpoint implements common.Hooks: besides vote GC, trusted logs
 // truncate — checkpointing is what bounds the "high" trusted memory column
 // of Figure 1.
-func (p *Protocol) OnStableCheckpoint(seq types.SeqNum) {
-	p.prepares.GC(seq)
-	p.commits.GC(seq)
-	for s := range p.preprepares {
-		if s <= seq {
-			delete(p.preprepares, s)
-			delete(p.prepared, s)
-			delete(p.committed, s)
-			delete(p.qcs, s)
-		}
-	}
+func (p *Protocol) OnStableCheckpoint(floor types.SeqNum) {
+	p.prepares.GC(floor)
+	p.commits.GC(floor)
+	common.TruncateSlots(p.preprepares, floor)
+	common.TruncateSlots(p.prepared, floor)
+	common.TruncateSlots(p.committed, floor)
+	common.TruncateSlots(p.qcs, floor)
 }
 
 // CheckpointAttestation implements common.Hooks: the checkpoint carries an

@@ -119,3 +119,10 @@ func TestViewChangeProgress(t *testing.T) {
 		t.Fatalf("no progress after view change: %v", got)
 	}
 }
+
+// TestCheckpointOvertakenBackupExecutesSlot: a backup whose Preprepare for
+// slot S lands after checkpoint S is stable still prepares it and commits
+// from the peers' Commit votes it kept.
+func TestCheckpointOvertakenBackupExecutesSlot(t *testing.T) {
+	ptest.CheckpointOvertakesBackup(t, cfg3(), func(cfg engine.Config) engine.Protocol { return New(cfg) }, 2, 2)
+}

@@ -8,12 +8,14 @@ package ptest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
 )
@@ -160,6 +162,96 @@ func (c *Cluster) Responses(r types.ReplicaID) []*types.Response {
 		}
 	}
 	return out
+}
+
+// CheckpointOvertakesBackup replays the race that used to strand a backup:
+// the group makes checkpoint S stable while the backup is still admitting
+// slot S's proposal (its attestation check finishing late). Replica lagger
+// is cut off while the others commit slots 1..S, one update each, with a
+// checkpoint at S. Everything they sent it is then delivered in send order —
+// the peers' votes and checkpoints for S included — except the Preprepare
+// for S, which arrives last. The backup must execute every slot, match the
+// checkpoint's state digest, and end with an empty executor backlog, both
+// in its status and on its /metrics gauges.
+func CheckpointOvertakesBackup(t *testing.T, cfg engine.Config,
+	mk func(engine.Config) engine.Protocol, lagger types.ReplicaID, S int) {
+	t.Helper()
+	cfg.BatchSize = 1
+	cfg.CheckpointEvery = uint64(S)
+	if cfg.Observer == nil {
+		cfg.Observer = obs.New(obs.Config{})
+	}
+	c := NewCluster(t, cfg, mk)
+	for r := 0; r < cfg.N; r++ {
+		if types.ReplicaID(r) != lagger {
+			c.Sever(types.ReplicaID(r), lagger)
+		}
+	}
+	for i := 1; i <= S; i++ {
+		op := &kvstore.Op{Code: kvstore.OpUpdate, Key: uint64(i), Value: []byte(fmt.Sprintf("v%d", i))}
+		c.SubmitTo(0, &types.ClientRequest{Client: 1, ReqNo: uint64(i), Op: op.Encode()})
+	}
+
+	type inbound struct {
+		from types.ReplicaID
+		msg  types.Message
+	}
+	var replay []inbound
+	var last *inbound
+	var ckpt *types.Checkpoint
+	for r, env := range c.Envs {
+		from := types.ReplicaID(r)
+		if from == lagger {
+			continue
+		}
+		for _, s := range env.Outbox {
+			if s.ToClients || (s.To != -1 && s.To != lagger) {
+				continue
+			}
+			switch m := s.Msg.(type) {
+			case *types.Preprepare:
+				if m.Seq == types.SeqNum(S) {
+					last = &inbound{from, m}
+					continue
+				}
+			case *types.Checkpoint:
+				if m.Seq == types.SeqNum(S) {
+					ckpt = m
+				}
+			}
+			replay = append(replay, inbound{from, s.Msg})
+		}
+	}
+	if last == nil || ckpt == nil {
+		t.Fatalf("peers sent no Preprepare or Checkpoint for slot %d", S)
+	}
+	backup := c.Protos[lagger]
+	for _, in := range replay {
+		backup.OnMessage(in.from, in.msg)
+	}
+	st := backup.(engine.StatusReporter).Status()
+	if st.LastExecuted != types.SeqNum(S-1) {
+		t.Fatalf("before slot %d's Preprepare the backup executed through %d, want %d", S, st.LastExecuted, S-1)
+	}
+	backup.OnMessage(last.from, last.msg)
+
+	env := c.Envs[lagger]
+	if got := len(env.Executed); got != S || env.Executed[S-1] != types.SeqNum(S) {
+		t.Fatalf("backup executed %v, want slots 1..%d: checkpoint %d stranded it", env.Executed, S, S)
+	}
+	if env.StateDigest() != ckpt.StateDigest {
+		t.Fatalf("backup state digest at %d differs from the stable checkpoint's", S)
+	}
+	if st := backup.(engine.StatusReporter).Status(); st.Backlog != 0 {
+		t.Fatalf("executor backlog = %d after the slot executed, want 0", st.Backlog)
+	}
+	metrics := (&obs.Exporter{O: cfg.Observer}).PrometheusText()
+	for _, name := range []string{obs.MExecBacklog, obs.MStableLag} {
+		want := fmt.Sprintf("flexitrust_%s{replica=\"%d\"} 0\n", name, lagger)
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
+		}
+	}
 }
 
 // --- engine.Env implementation on Env ---

@@ -1,8 +1,8 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -36,6 +36,11 @@ type Client struct {
 	nextReq uint64
 	primary types.ReplicaID
 	pending map[uint64]*pendingReq
+	// retry fires when the earliest outstanding request is due a
+	// re-broadcast; one timer per client, created on first use and re-armed
+	// only while requests are outstanding.
+	retry      *time.Timer
+	retryArmed bool
 	// Lease-read state: outstanding single-reply exchanges by ReadNo.
 	nextRead     uint64
 	leasePending map[uint64]chan *types.LeaseReadReply
@@ -52,9 +57,52 @@ type outcome struct {
 
 // pendingReq tracks one outstanding transaction.
 type pendingReq struct {
-	req     *types.ClientRequest
-	tallies map[string]map[types.ReplicaID]bool
-	done    chan outcome
+	req *types.ClientRequest
+	// tallies groups the replies received so far by what they claim. The
+	// first claim lives in the inline buffer, so requests whose replies all
+	// agree never allocate for matching.
+	tallies  []tally
+	buf      [1]tally
+	resendAt time.Time
+	done     chan outcome
+}
+
+// maxReplicas bounds the replica ids a voter set can hold: the
+// quorum-certificate bitmap's limit, far above any configured group.
+const maxReplicas = 512
+
+// tally counts the distinct replicas whose reply claims one (view, seq,
+// value): what must be identical for responses to match.
+type tally struct {
+	view   types.View
+	seq    types.SeqNum
+	value  []byte
+	voters [maxReplicas / 64]uint64
+	n      int
+}
+
+// vote records resp's replica under the tally for the claim its reply
+// makes and returns that tally's voter count (unchanged when the replica
+// already voted for the same claim).
+func (p *pendingReq) vote(resp *types.Response, res *types.Result) int {
+	var t *tally
+	for i := range p.tallies {
+		c := &p.tallies[i]
+		if c.view == resp.View && c.seq == resp.Seq && bytes.Equal(c.value, res.Value) {
+			t = c
+			break
+		}
+	}
+	if t == nil {
+		p.tallies = append(p.tallies, tally{view: resp.View, seq: resp.Seq, value: res.Value})
+		t = &p.tallies[len(p.tallies)-1]
+	}
+	word, bit := resp.Replica/64, uint64(1)<<(resp.Replica%64)
+	if t.voters[word]&bit == 0 {
+		t.voters[word] |= bit
+		t.n++
+	}
+	return t.n
 }
 
 // NewClient builds a client on its transport endpoint.
@@ -126,51 +174,82 @@ func (c *Client) SubmitSeq(ctx context.Context, op []byte) ([]byte, types.SeqNum
 // reply quorum executed it in — the "view at execution" a request trace
 // records.
 func (c *Client) SubmitObserved(ctx context.Context, op []byte) ([]byte, types.SeqNum, types.View, error) {
+	now := time.Now()
 	c.mu.Lock()
 	c.nextReq++
 	req := &types.ClientRequest{
 		Client:    c.cfg.ID,
 		ReqNo:     c.nextReq,
 		Op:        op,
-		Timestamp: time.Now().UnixNano(),
+		Timestamp: now.UnixNano(),
 	}
 	d := crypto.RequestDigest(req)
 	if sig, err := c.cfg.Keyring.SignAsClient(c.cfg.ID, d[:]); err == nil {
 		req.Sig = sig
 	}
-	p := &pendingReq{
-		req:     req,
-		tallies: make(map[string]map[types.ReplicaID]bool),
-		done:    make(chan outcome, 1),
-	}
+	p := &pendingReq{req: req, resendAt: now.Add(c.cfg.RetryEvery), done: make(chan outcome, 1)}
+	p.tallies = p.buf[:0]
 	c.pending[req.ReqNo] = p
+	if !c.retryArmed {
+		c.armRetry(c.cfg.RetryEvery)
+	}
 	primary := c.primary
 	c.mu.Unlock()
 
 	env := &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: req}
 	c.cfg.Transport.Send(transport.ReplicaAddr(int32(primary)), env)
 
-	retry := time.NewTicker(c.cfg.RetryEvery)
-	defer retry.Stop()
 	defer func() {
 		c.mu.Lock()
 		delete(c.pending, req.ReqNo)
 		c.mu.Unlock()
 	}()
-	for {
-		select {
-		case res := <-p.done:
-			return res.value, res.seq, res.view, nil
-		case <-retry.C:
-			// Complain to everyone; replicas answer from their caches or
-			// forward to the primary (and may trigger a view change).
-			resend := &wire.Envelope{Client: c.cfg.ID, IsClient: true,
-				Msg: &types.ClientResend{Request: req}}
-			for i := 0; i < c.cfg.N; i++ {
-				c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), resend)
-			}
-		case <-ctx.Done():
-			return nil, 0, 0, fmt.Errorf("client %d request %d: %w", c.cfg.ID, req.ReqNo, ctx.Err())
+	select {
+	case res := <-p.done:
+		return res.value, res.seq, res.view, nil
+	case <-ctx.Done():
+		return nil, 0, 0, fmt.Errorf("client %d request %d: %w", c.cfg.ID, req.ReqNo, ctx.Err())
+	}
+}
+
+// armRetry schedules the retry timer d from now. Call with c.mu held.
+func (c *Client) armRetry(d time.Duration) {
+	if c.retry == nil {
+		c.retry = time.AfterFunc(d, c.onRetry)
+	} else {
+		c.retry.Reset(d)
+	}
+	c.retryArmed = true
+}
+
+// onRetry re-broadcasts every outstanding request that has waited
+// RetryEvery since it was sent or last re-broadcast — the client's
+// complaint to all replicas, which answer from their caches or forward to
+// the primary (and may trigger a view change) — then re-arms for the next
+// one due.
+func (c *Client) onRetry() {
+	now := time.Now()
+	var due []*types.ClientRequest
+	c.mu.Lock()
+	c.retryArmed = false
+	var next time.Time
+	for _, p := range c.pending {
+		if !now.Before(p.resendAt) {
+			due = append(due, p.req)
+			p.resendAt = now.Add(c.cfg.RetryEvery)
+		}
+		if next.IsZero() || p.resendAt.Before(next) {
+			next = p.resendAt
+		}
+	}
+	if !next.IsZero() {
+		c.armRetry(next.Sub(now))
+	}
+	c.mu.Unlock()
+	for _, req := range due {
+		resend := &wire.Envelope{Client: c.cfg.ID, IsClient: true, Msg: &types.ClientResend{Request: req}}
+		for i := 0; i < c.cfg.N; i++ {
+			c.cfg.Transport.Send(transport.ReplicaAddr(int32(i)), resend)
 		}
 	}
 }
@@ -190,7 +269,7 @@ func (c *Client) onEnvelope(env *wire.Envelope) {
 		return
 	}
 	resp, ok := env.Msg.(*types.Response)
-	if !ok {
+	if !ok || resp.Replica < 0 || int(resp.Replica) >= min(c.cfg.N, maxReplicas) {
 		return
 	}
 	c.mu.Lock()
@@ -204,17 +283,9 @@ func (c *Client) onEnvelope(env *wire.Envelope) {
 		if !outstanding {
 			continue
 		}
-		key := matchKey(resp, res)
-		set := p.tallies[key]
-		if set == nil {
-			set = make(map[types.ReplicaID]bool)
-			p.tallies[key] = set
-		}
-		if set[resp.Replica] {
-			continue
-		}
-		set[resp.Replica] = true
-		if len(set) >= c.cfg.Replies {
+		// Resolve when this reply completes the quorum; replies past it are
+		// not copied into an outcome nobody receives.
+		if p.vote(resp, res) == c.cfg.Replies {
 			if resp.View > 0 {
 				c.primary = types.Primary(resp.View, c.cfg.N)
 			}
@@ -225,13 +296,4 @@ func (c *Client) onEnvelope(env *wire.Envelope) {
 			}
 		}
 	}
-}
-
-// matchKey captures what must be identical for responses to match: view,
-// sequence number and the result value.
-func matchKey(resp *types.Response, res *types.Result) string {
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(resp.View))
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(resp.Seq))
-	return string(hdr[:]) + string(res.Value)
 }

@@ -124,16 +124,45 @@ func digestsEqual(cl *Cluster) bool {
 	return true
 }
 
+// TestFlexiBFTConcurrentClients drives Flexi-BFT on the hub with 64
+// closed-loop clients, batches of 16 and emulated trusted-component latency
+// for a few seconds — the load under which a backup's attestation check
+// for a slot can finish after the others have made that slot's checkpoint
+// stable. That backup must still execute the slot rather than queue every
+// later batch behind it. After the load stops, every replica must have
+// applied the same number of operations, reached the same state, and hold
+// no committed batch it cannot execute.
 func TestFlexiBFTConcurrentClients(t *testing.T) {
-	cl := startCluster(t, 4, 1, 2, func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) })
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	const clients = 64
+	ids := make([]types.ClientID, clients)
+	for i := range ids {
+		ids[i] = types.ClientID(i + 1)
+	}
+	ecfg := engine.DefaultConfig(4, 1)
+	ecfg.BatchSize = 16
+	cl, err := NewCluster(ClusterConfig{
+		N: 4, F: 1,
+		Engine:           ecfg,
+		NewProtocol:      func(cfg engine.Config) engine.Protocol { return flexibft.New(cfg) },
+		Replies:          2,
+		Clients:          ids,
+		TrustedProfile:   trusted.ProfileSGXEnclave,
+		EmulateTCLatency: true,
+		Records:          1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	done := make(chan error, 2)
-	for _, id := range []types.ClientID{1, 2} {
+	stopAt := time.Now().Add(3 * time.Second)
+	done := make(chan error, clients)
+	for _, id := range ids {
+		client := cl.NewClient(id)
 		go func(id types.ClientID) {
-			client := cl.NewClient(id)
-			for i := 0; i < 15; i++ {
-				op := &kvstore.Op{Code: kvstore.OpUpdate, Key: uint64(id)*100 + uint64(i), Value: []byte("x")}
+			for i := 0; time.Now().Before(stopAt); i++ {
+				op := &kvstore.Op{Code: kvstore.OpUpdate, Key: (uint64(id)*7 + uint64(i)) % 1000, Value: []byte("x")}
 				if _, err := client.Submit(ctx, op.Encode()); err != nil {
 					done <- err
 					return
@@ -142,12 +171,47 @@ func TestFlexiBFTConcurrentClients(t *testing.T) {
 			done <- nil
 		}(id)
 	}
-	for i := 0; i < 2; i++ {
+	for range ids {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitConverged(t, cl)
+	waitDrained(t, cl, 10*time.Second)
+}
+
+// waitDrained waits until every replica reports the same applied-operation
+// count and state digest with an empty executor backlog, and fails the test
+// with each replica's position if that does not happen within d.
+func waitDrained(t *testing.T, cl *Cluster, d time.Duration) {
+	t.Helper()
+	type pos struct {
+		digest  types.Digest
+		applied uint64
+		st      engine.Status
+	}
+	read := func() []pos {
+		out := make([]pos, len(cl.Nodes))
+		for i, n := range cl.Nodes {
+			out[i].digest, out[i].applied = n.DigestSnapshot()
+			out[i].st, _ = n.Status()
+		}
+		return out
+	}
+	var cur []pos
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		cur = read()
+		drained := true
+		for _, p := range cur {
+			drained = drained && p.applied == cur[0].applied && p.digest == cur[0].digest && p.st.Backlog == 0
+		}
+		if drained {
+			return
+		}
+	}
+	for i, p := range cur {
+		t.Logf("replica %d: applied %d, executed through %d, backlog %d", i, p.applied, p.st.LastExecuted, p.st.Backlog)
+	}
+	t.Fatal("replicas did not drain to the same applied count with an empty executor backlog")
 }
 
 func TestTCPTransportEndToEnd(t *testing.T) {

@@ -170,7 +170,9 @@ func TestMultiGetLeasedSingleShardShortCircuit(t *testing.T) {
 // leased fast path, and mid-run the granting primary is killed so a view
 // change races the lease. Every read must observe at least the last value
 // the writer saw commit before the read was issued — a single stale read is
-// a linearizability violation. Run under -race.
+// a linearizability violation. The writer must also stay live: a Put that
+// waits out the test's context means the group never recovered from the
+// view change, and fails the test instead of passing late. Run under -race.
 func TestLeaseViewChangeTortureNoStaleReads(t *testing.T) {
 	// stallAfter is generous so the crashed group classifies ViewChanging
 	// (traffic proceeds and drives the election), not Stalled (fail-fast
@@ -180,7 +182,7 @@ func TestLeaseViewChangeTortureNoStaleReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	key := freshKeysOnShard(c.Placement(), 0, 1, 50_000)[0]
@@ -203,6 +205,10 @@ func TestLeaseViewChangeTortureNoStaleReads(t *testing.T) {
 			default:
 			}
 			if err := writer.Put(ctx, key, []byte(strconv.FormatUint(i, 10))); err != nil {
+				if ctx.Err() != nil {
+					t.Errorf("writer Put %d waited out the test context: %v", i, err)
+					return
+				}
 				// Degraded-window refusals are fine; the write did not
 				// commit, so the fence is not advanced.
 				i--
