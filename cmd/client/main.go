@@ -19,7 +19,7 @@ import (
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/harness"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/transport"
 	"flexitrust/internal/types"
@@ -94,16 +94,19 @@ func main() {
 		fmt.Printf("%s\n", out)
 	default:
 		gen := workload.NewGenerator(workload.DefaultConfig())
-		col := metrics.NewCollector(*ops)
+		var lat obs.HistogramData
 		start := time.Now()
 		for i := 0; i < *ops; i++ {
 			t0 := time.Now()
 			if _, err := cl.Submit(ctx, gen.Next()); err != nil {
 				log.Fatalf("op %d: %v", i, err)
 			}
-			col.Record(time.Since(start), time.Since(t0))
+			lat.ObserveDuration(time.Since(t0))
 		}
-		fmt.Println(col.Summary(time.Since(start)))
+		us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+		fmt.Printf("throughput=%.0f txn/s mean_lat=%s p50=%s p99=%s n=%d\n",
+			float64(lat.Count())/time.Since(start).Seconds(),
+			us(lat.Mean()), us(lat.Quantile(50)), us(lat.Quantile(99)), lat.Count())
 	}
 }
 

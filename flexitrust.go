@@ -222,8 +222,13 @@
 // (registry.go): shard_op_latency_ns{group=G}, multiget_fanout,
 // txn_phase_prepare_ns / txn_phase_decide_ns / txn_phase_drive_ns,
 // rebalance_window_ns, health_transitions{group=G}, err_shard_degraded,
-// err_unroutable, route_retries, exec_batch_requests. Histograms cap their
-// sample cost and report Truncated when percentiles are estimates.
+// err_unroutable, route_retries, exec_batch_requests. Histograms keep no
+// samples: 64 log-linear sub-buckets per power of two hold every
+// observation in 32 KB, so a reported quantile is at most 1/64 (≈1.6%)
+// above the exact one, and histograms merge exactly by summing buckets.
+// Every latency the repository reports — simulator results, BENCH
+// entries, shard.Cluster.Stats, cmd/client — is read from such a
+// histogram, with nearest-rank quantiles.
 //
 // Attested-access audit. Every state-changing trusted-counter access
 // (replica consensus counters, the transaction coordinator's arbiter)
@@ -250,7 +255,7 @@
 // Export. ShardedCluster.ObserveSnapshot renders the whole cluster as one
 // versioned document (schema flexitrust-obs/v1): every metric, the
 // retained traces, the audit stream, the journal, fired alerts and
-// per-shard consensus stats — each stream with retained/dropped/truncated
+// per-shard consensus stats — each stream with retained/dropped
 // accounting, so a scrape never silently under-reports.
 // ShardedCluster.ObserveHandler serves the admin endpoints for any HTTP
 // listener: /metrics (Prometheus text exposition, names prefixed

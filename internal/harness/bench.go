@@ -58,9 +58,6 @@ type BenchEntry struct {
 	MigrationWindowNs int64 `json:"migration_window_ns,omitempty"`
 	// UnavailableForNs is crash→first probe completion (failover only).
 	UnavailableForNs int64 `json:"unavailable_for_ns,omitempty"`
-	// Truncated marks latency percentiles estimated from a capped sample
-	// set (see metrics.Collector).
-	Truncated bool `json:"truncated,omitempty"`
 }
 
 // BenchBaseline is the recorded perf baseline: the schema tag, the run's
@@ -110,7 +107,6 @@ func CollectBench(scale Scale) (*BenchBaseline, error) {
 				P50Ns:      res.P50Lat.Nanoseconds(), P99Ns: res.P99Lat.Nanoseconds(),
 				Completed:        res.Completed,
 				AttestedAccesses: o.Audit().TotalAccesses(),
-				Truncated:        res.Truncated,
 			})
 		}
 	}
@@ -175,7 +171,6 @@ func CollectBench(scale Scale) (*BenchBaseline, error) {
 				AttestedAccesses: o.Audit().TotalAccesses(),
 				LeaseReads:       res.LeaseReads,
 				LeaseReadP50Ns:   res.LeaseReadP50.Nanoseconds(),
-				Truncated:        res.Truncated,
 			})
 		}
 	}
@@ -194,7 +189,6 @@ func CollectBench(scale Scale) (*BenchBaseline, error) {
 				P50Ns:      res.P50Lat.Nanoseconds(), P99Ns: res.P99Lat.Nanoseconds(),
 				Completed:        res.Completed,
 				AttestedAccesses: accesses,
-				Truncated:        res.Truncated,
 			})
 		}
 	}

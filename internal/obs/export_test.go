@@ -70,7 +70,6 @@ func goldenScenario(t *testing.T) (*Exporter, *Rules, *time.Duration) {
 		return []ShardExport{{
 			Shard: 0, Submitted: 10, Committed: 10, Watermark: 3,
 			MeanLatNs: 1500, P99LatNs: 4000, View: 0, ViewChanges: 0,
-			LatencySamples: 10, DroppedSamples: 2, Truncated: true,
 			Health: "healthy",
 		}}
 	}
@@ -120,8 +119,8 @@ func TestExportGoldenJSON(t *testing.T) {
 	if doc.Audit.Dropped != 0 || doc.Journal.Dropped != 0 {
 		t.Fatalf("unexpected drops: %+v %+v", doc.Audit, doc.Journal)
 	}
-	if len(doc.Shards) != 1 || !doc.Shards[0].Truncated || doc.Shards[0].DroppedSamples != 2 {
-		t.Fatalf("shard truncation accounting missing: %+v", doc.Shards)
+	if len(doc.Shards) != 1 || doc.Shards[0].Committed != 10 || doc.Shards[0].P99LatNs != 4000 {
+		t.Fatalf("shard stats missing: %+v", doc.Shards)
 	}
 	checkGolden(t, "export_golden.json", data)
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -167,47 +169,155 @@ func TestRegistryInstruments(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	if h.Quantile(50) != 0 || h.Mean() != 0 {
+// TestHistogramEdgeCases covers the empty, empty-merge and single-sample
+// queries the harness can hit on short or degraded runs.
+func TestHistogramEdgeCases(t *testing.T) {
+	var h HistogramData
+	if h.Quantile(50) != 0 || h.Quantile(99) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
+	var merged HistogramData
+	merged.Merge(&h)
+	if merged.Count() != 0 || merged.Quantile(99) != 0 {
+		t.Fatal("merging an empty histogram must leave zeros")
+	}
 	h.Observe(42)
-	if got := h.Quantile(50); got != 42 {
-		t.Fatalf("single-sample p50 = %d, want 42", got)
+	for _, p := range []float64{0.1, 50, 99, 100} {
+		if got := h.Quantile(p); got != 42 {
+			t.Fatalf("single-sample p%v = %d, want 42", p, got)
+		}
 	}
-	if got := h.Quantile(99); got != 42 {
-		t.Fatalf("single-sample p99 = %d, want 42", got)
-	}
+}
 
-	var h2 Histogram
+func TestHistogramQuantiles(t *testing.T) {
+	var h2 HistogramData
 	for v := int64(1); v <= 1000; v++ {
 		h2.Observe(v)
 	}
-	p50 := h2.Quantile(50)
-	// Log-linear buckets bound relative error to 1/histSub.
-	if p50 < 450 || p50 > 600 {
-		t.Fatalf("p50 of 1..1000 = %d, want ~500 within bucket error", p50)
-	}
-	p99 := h2.Quantile(99)
-	if p99 < 900 || p99 > 1000 {
-		t.Fatalf("p99 of 1..1000 = %d, want ~990 within bucket error", p99)
+	// Log-linear buckets bound relative error to 1/histSub, upward.
+	for _, c := range []struct {
+		p    float64
+		want int64
+	}{{50, 500}, {99, 990}, {100, 1000}} {
+		if got := h2.Quantile(c.p); got < c.want || got > c.want+c.want/histSub {
+			t.Fatalf("p%v of 1..1000 = %d, want %d within 1/%d", c.p, got, c.want, histSub)
+		}
 	}
 	if h2.Max() != 1000 {
 		t.Fatalf("max = %d", h2.Max())
 	}
 }
 
+// TestHistogramNearestRank checks that quantiles follow the nearest-rank
+// rule (rank ⌈p/100·n⌉−1) in both the cumulative and the windowed reader,
+// and that a millisecond-scale median reads back within 1/histSub.
+func TestHistogramNearestRank(t *testing.T) {
+	var h HistogramData
+	for i := 0; i < 99; i++ {
+		h.Observe(1000)
+	}
+	h.Observe(1_000_000)
+	if got := h.Quantile(99); got > 1000+1000/histSub {
+		t.Fatalf("p99 of 99×1000 + 1×1e6 = %d, want ≈1000 (rank 99 of 100)", got)
+	}
+	if got := h.Quantile(100); got != 1_000_000 {
+		t.Fatalf("p100 = %d, want the maximum", got)
+	}
+	recent := h.since(&HistogramData{})
+	if got := recent.Quantile(99); got > 1000+1000/histSub {
+		t.Fatalf("windowed p99 = %d, want ≈1000", got)
+	}
+
+	var ms HistogramData
+	for _, v := range []time.Duration{2300 * time.Microsecond, 2400 * time.Microsecond, 2500 * time.Microsecond} {
+		ms.ObserveDuration(v)
+	}
+	const want = int64(2400 * time.Microsecond)
+	if got := ms.Quantile(50); got < want || got > want+want/histSub {
+		t.Fatalf("p50 of {2.3, 2.4, 2.5} ms = %v, want 2.4 ms within 1/%d", time.Duration(got), histSub)
+	}
+
+	var ladder HistogramData
+	for i := 1; i <= 100; i++ {
+		ladder.ObserveDuration(time.Duration(i) * time.Millisecond)
+	}
+	for _, p := range []float64{50, 99, 100} {
+		want := int64(time.Duration(p) * time.Millisecond)
+		if got := ladder.Quantile(p); got < want || got > want+want/histSub {
+			t.Fatalf("p%v of 1..100 ms = %v, want %v", p, time.Duration(got), time.Duration(want))
+		}
+	}
+}
+
+// TestHistogramMerge checks that merging sums counts and buckets exactly:
+// the merged quantiles and mean are those of the pooled observations.
+func TestHistogramMerge(t *testing.T) {
+	var a, b, m HistogramData
+	for i := 0; i < 10; i++ {
+		a.ObserveDuration(time.Millisecond)
+	}
+	for i := 0; i < 30; i++ {
+		b.ObserveDuration(3 * time.Millisecond)
+	}
+	m.Merge(&a)
+	m.Merge(&b)
+	m.Merge(&HistogramData{})
+	if m.Count() != 40 {
+		t.Fatalf("merged count = %d, want 40", m.Count())
+	}
+	// Pooled mean: (10*1ms + 30*3ms)/40 = 2.5ms.
+	if got := time.Duration(m.Mean()); got != 2500*time.Microsecond {
+		t.Fatalf("merged mean = %v", got)
+	}
+	if got := m.Quantile(99); got != int64(3*time.Millisecond) {
+		t.Fatalf("merged p99 = %v", time.Duration(got))
+	}
+	if got := m.Quantile(10); got < int64(time.Millisecond) || got > int64(time.Millisecond)+int64(time.Millisecond)/histSub {
+		t.Fatalf("merged p10 = %v, want ≈1ms", time.Duration(got))
+	}
+	if a.Count() != 10 || b.Count() != 30 {
+		t.Fatal("merge must not change its input")
+	}
+	// Merging a copy of a live histogram's contents pools it the same way.
+	var live Histogram
+	live.ObserveDuration(time.Millisecond)
+	snap := live.Snapshot()
+	m.Merge(&snap)
+	if m.Count() != 41 || live.Count() != 1 {
+		t.Fatalf("merged snapshot: %d, live %d", m.Count(), live.Count())
+	}
+}
+
+// TestHistogramBucketMath checks the bucket layout over edge and random
+// values: every value lies inside its bucket, and a bucket is at most
+// v/histSub wide — the 1/histSub error bound.
 func TestHistogramBucketMath(t *testing.T) {
-	for _, v := range []int64{0, 1, 7, 8, 9, 15, 16, 100, 1 << 20, 1<<40 + 12345} {
+	vals := []int64{0, 1, histSub - 1, histSub, histSub + 1, 100, 1<<40 + 12345, math.MaxInt64}
+	for s := 1; s < 63; s++ {
+		vals = append(vals, int64(1)<<s-1, int64(1)<<s, int64(1)<<s+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		vals = append(vals, rng.Int63()>>rng.Intn(63))
+	}
+	for _, v := range vals {
 		idx := bucketFor(v)
-		if upper := bucketUpper(idx); v > upper {
+		if idx < 0 || idx >= histBuckets {
+			t.Fatalf("value %d maps to bucket %d outside [0, %d)", v, idx, histBuckets)
+		}
+		upper := bucketUpper(idx)
+		if v > upper {
 			t.Fatalf("value %d above its bucket upper %d (idx %d)", v, upper, idx)
 		}
+		lower := int64(0)
 		if idx > 0 {
-			if prevUpper := bucketUpper(idx - 1); v <= prevUpper {
-				t.Fatalf("value %d should be above previous bucket upper %d", v, prevUpper)
-			}
+			lower = bucketUpper(idx-1) + 1
+		}
+		if v < lower {
+			t.Fatalf("value %d below its bucket lower %d (idx %d)", v, lower, idx)
+		}
+		if upper-lower > v/histSub {
+			t.Fatalf("bucket %d of value %d spans [%d, %d], wider than v/%d", idx, v, lower, upper, histSub)
 		}
 	}
 }

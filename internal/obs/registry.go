@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -219,21 +220,28 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
+// histSubBits sets the histogram's resolution: histSub = 2^histSubBits
+// sub-buckets per power of two.
+const histSubBits = 6
+
 // histSub is the number of sub-buckets per power of two: log-linear
-// buckets in the HDR style, bounding relative quantile error to
-// 1/histSub without storing samples.
-const histSub = 8
+// buckets in the HDR style. A bucket spans at most v/histSub values at v,
+// so a quantile read back as its bucket's upper bound is at most 1/histSub
+// (≈1.6%) above the exact value, without storing samples.
+const histSub = 1 << histSubBits
 
 // histBuckets covers the full int64 range at histSub sub-buckets per
-// power of two.
+// power of two (histBuckets×8 bytes = 32 KB per histogram).
 const histBuckets = 64 * histSub
 
-// Histogram records int64 observations into log-linear buckets: exact
-// below histSub, then histSub sub-buckets per power of two (≤12.5%
-// relative error on quantiles), constant memory regardless of volume.
-// Nil-safe.
-type Histogram struct {
-	mu      sync.Mutex
+// HistogramData is a histogram's contents as a plain value: int64
+// observations in log-linear buckets, exact below histSub, then histSub
+// sub-buckets per power of two (≤1/histSub relative error on quantiles),
+// constant memory regardless of volume. It is not synchronized: a
+// single-threaded recorder (the simulator) uses it directly, and
+// Histogram guards one for concurrent use. Values compare with ==, copy
+// freely, and merge exactly by summing buckets (Merge).
+type HistogramData struct {
 	buckets [histBuckets]uint64
 	count   uint64
 	sum     int64
@@ -241,14 +249,16 @@ type Histogram struct {
 	max     int64
 }
 
-// bucketFor maps a non-negative value to its bucket index.
+// bucketFor maps a non-negative value to its bucket index: the value's
+// top histSubBits+1 bits select the power of two and the sub-bucket.
 func bucketFor(v int64) int {
 	if v < histSub {
 		return int(v)
 	}
-	major := bits.Len64(uint64(v)) // ≥ 4 here
-	sub := int(v>>(major-4)) & (histSub - 1)
-	return (major-3)*histSub + sub
+	major := bits.Len64(uint64(v)) // > histSubBits here
+	shift := major - histSubBits - 1
+	sub := int(v>>shift) & (histSub - 1)
+	return (major-histSubBits)*histSub + sub
 }
 
 // bucketUpper returns the largest value mapping to bucket idx.
@@ -256,10 +266,118 @@ func bucketUpper(idx int) int64 {
 	if idx < histSub {
 		return int64(idx)
 	}
-	major := idx/histSub + 3
-	sub := idx % histSub
-	lower := int64(histSub+sub) << (major - 4)
-	return lower + (int64(1) << (major - 4)) - 1
+	shift := idx/histSub - 1
+	lower := int64(histSub+idx%histSub) << shift
+	return lower + (int64(1) << shift) - 1
+}
+
+// nearestRank returns the 0-based rank of the p-th percentile among n > 0
+// ordered observations under the nearest-rank rule, ⌈p/100·n⌉−1, clamped
+// to [0, n−1].
+func nearestRank(p float64, n uint64) uint64 {
+	r := math.Ceil(p * float64(n) / 100)
+	if r < 1 {
+		return 0
+	}
+	if r >= float64(n) {
+		return n - 1
+	}
+	return uint64(r) - 1
+}
+
+// Observe records one value (negative values clamp to zero).
+func (d *HistogramData) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	d.buckets[bucketFor(v)]++
+	if d.count == 0 || v < d.min {
+		d.min = v
+	}
+	if v > d.max {
+		d.max = v
+	}
+	d.count++
+	d.sum += v
+}
+
+// ObserveDuration records a duration in nanoseconds.
+func (d *HistogramData) ObserveDuration(x time.Duration) { d.Observe(int64(x)) }
+
+// Count returns the number of observations.
+func (d *HistogramData) Count() uint64 { return d.count }
+
+// Max returns the largest observation; 0 with no data.
+func (d *HistogramData) Max() int64 { return d.max }
+
+// Mean returns the arithmetic mean of the observations; 0 with no data.
+func (d *HistogramData) Mean() int64 {
+	if d.count == 0 {
+		return 0
+	}
+	return d.sum / int64(d.count)
+}
+
+// Quantile returns an upper-bound estimate of the p-th percentile
+// (p in [0,100], nearest rank), clamped to the observed min/max; 0 with
+// no data.
+func (d *HistogramData) Quantile(p float64) int64 {
+	if d.count == 0 {
+		return 0
+	}
+	rank := nearestRank(p, d.count)
+	var seen uint64
+	for i, n := range d.buckets {
+		seen += n
+		if n > 0 && seen > rank {
+			return min(max(bucketUpper(i), d.min), d.max)
+		}
+	}
+	return d.max
+}
+
+// Merge adds every observation recorded in o to d. Buckets sum exactly,
+// so d's quantiles afterwards are those of the pooled observations,
+// within the same bucket error as either input.
+func (d *HistogramData) Merge(o *HistogramData) {
+	if o.count == 0 {
+		return
+	}
+	for i, n := range o.buckets {
+		d.buckets[i] += n
+	}
+	if d.count == 0 || o.min < d.min {
+		d.min = o.min
+	}
+	d.max = max(d.max, o.max)
+	d.count += o.count
+	d.sum += o.sum
+}
+
+// since returns the observations d recorded after prev, an earlier copy of
+// the same histogram. Their minimum is unknown (0 stands in); d's maximum
+// bounds them.
+func (d *HistogramData) since(prev *HistogramData) HistogramData {
+	delta := HistogramData{count: d.count - prev.count, sum: d.sum - prev.sum, max: d.max}
+	for i := range d.buckets {
+		delta.buckets[i] = d.buckets[i] - prev.buckets[i]
+	}
+	return delta
+}
+
+// stats summarizes the data for export.
+func (d *HistogramData) stats() HistogramStats {
+	return HistogramStats{
+		Count: d.count, Sum: d.sum, Mean: d.Mean(), Min: d.min, Max: d.max,
+		P50: d.Quantile(50), P99: d.Quantile(99),
+	}
+}
+
+// Histogram is a HistogramData safe for concurrent recording: the
+// registry's instrument. Nil-safe.
+type Histogram struct {
+	mu sync.Mutex
+	d  HistogramData
 }
 
 // Observe records one value (negative values clamp to zero).
@@ -267,20 +385,9 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets[bucketFor(v)]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
+	h.d.Observe(v)
+	h.mu.Unlock()
 }
 
 // ObserveDuration records a duration in nanoseconds.
@@ -293,56 +400,7 @@ func (h *Histogram) Count() uint64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile returns an upper-bound estimate of the p-th percentile
-// (p in [0,100]), clamped to the observed min/max; 0 with no data.
-func (h *Histogram) Quantile(p float64) int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(p)
-}
-
-func (h *Histogram) quantileLocked(p float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(p / 100 * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var seen uint64
-	for i, n := range h.buckets {
-		seen += n
-		if n > 0 && seen > rank {
-			v := bucketUpper(i)
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
-		}
-	}
-	return h.max
-}
-
-// Mean returns the arithmetic mean of the observations; 0 with no data.
-func (h *Histogram) Mean() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / int64(h.count)
+	return h.d.count
 }
 
 // Max returns the largest observation; 0 with no data.
@@ -352,7 +410,17 @@ func (h *Histogram) Max() int64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.max
+	return h.d.max
+}
+
+// Snapshot copies the histogram's contents.
+func (h *Histogram) Snapshot() HistogramData {
+	if h == nil {
+		return HistogramData{}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.d
 }
 
 // HistogramStats is one histogram's exported summary.
@@ -392,30 +460,10 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	snap.Histograms = make(map[string]HistogramStats, len(r.histograms))
 	for name, h := range r.histograms {
 		h.mu.Lock()
-		snap.Histograms[name] = HistogramStats{
-			Count: h.count, Sum: h.sum, Mean: 0, Min: h.min, Max: h.max,
-			P50: h.quantileLocked(50), P99: h.quantileLocked(99),
-		}
-		if h.count > 0 {
-			s := snap.Histograms[name]
-			s.Mean = h.sum / int64(h.count)
-			snap.Histograms[name] = s
-		}
+		snap.Histograms[name] = h.d.stats()
 		h.mu.Unlock()
 	}
 	return snap
-}
-
-// bucketsSnapshot copies the histogram's raw bucket array and total count
-// so the rules engine can compute windowed quantiles from deltas between
-// two snapshots.
-func (h *Histogram) bucketsSnapshot() (buckets [histBuckets]uint64, count uint64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.buckets, h.count
 }
 
 // histogramNames returns the registered histogram names, sorted, so the

@@ -100,11 +100,10 @@ type Rules struct {
 	cfg RulesConfig
 
 	mu sync.Mutex
-	// Window state: previous counter values, previous histogram buckets,
+	// Window state: previous counter values, previous histogram contents,
 	// the journal/alarm high-water marks, and the last evaluation time.
 	prevCounters map[string]uint64
-	prevBuckets  map[string][histBuckets]uint64
-	prevCounts   map[string]uint64
+	prevHists    map[string]HistogramData
 	prevAlarms   int
 	lastJournal  uint64
 	lastEval     time.Duration
@@ -141,8 +140,7 @@ func NewRules(o *Observer, cfg RulesConfig) *Rules {
 		o:            o,
 		cfg:          cfg,
 		prevCounters: make(map[string]uint64),
-		prevBuckets:  make(map[string][histBuckets]uint64),
-		prevCounts:   make(map[string]uint64),
+		prevHists:    make(map[string]HistogramData),
 		lastEval:     o.Now(),
 		ring:         make([]Alert, cfg.AlertBuffer),
 		stop:         make(chan struct{}),
@@ -224,19 +222,18 @@ func (r *Rules) Evaluate() []Alert {
 			if base != MShardOpLatency {
 				continue
 			}
-			buckets, count := r.o.Metrics().Histogram(name).bucketsSnapshot()
-			prev := r.prevBuckets[name]
-			dCount := count - r.prevCounts[name]
-			r.prevBuckets[name] = buckets
-			r.prevCounts[name] = count
-			if dCount == 0 {
+			cur := r.o.Metrics().Histogram(name).Snapshot()
+			prev := r.prevHists[name]
+			r.prevHists[name] = cur
+			recent := cur.since(&prev)
+			if recent.Count() == 0 {
 				continue
 			}
-			p99 := windowedQuantile(buckets, prev, dCount, 99)
+			p99 := recent.Quantile(99)
 			if p99 > int64(r.cfg.LatencyP99) {
 				add(RuleLatencyP99, labelGroup(name), float64(p99),
 					"group %d: windowed p99 %v over threshold %v (%d samples)",
-					labelGroup(name), time.Duration(p99), r.cfg.LatencyP99, dCount)
+					labelGroup(name), time.Duration(p99), r.cfg.LatencyP99, recent.Count())
 			}
 		}
 	}
@@ -289,24 +286,6 @@ func (r *Rules) Evaluate() []Alert {
 		flight.Write("alert-" + fired[0].Rule)
 	}
 	return fired
-}
-
-// windowedQuantile computes the p-th percentile upper bound over the
-// bucket deltas between two snapshots.
-func windowedQuantile(cur, prev [histBuckets]uint64, count uint64, p float64) int64 {
-	rank := uint64(p / 100 * float64(count))
-	if rank >= count {
-		rank = count - 1
-	}
-	var seen uint64
-	for i := range cur {
-		n := cur[i] - prev[i]
-		seen += n
-		if n > 0 && seen > rank {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(histBuckets - 1)
 }
 
 // Alerts copies the retained alerts, oldest first.

@@ -28,24 +28,18 @@ import (
 //     Co-located groups end up time-sharing the machine's TC timeline and
 //     aggregate throughput stays ~flat no matter how many groups stack.
 //
-// Aggregate below only sums and weights the per-group results that one
+// Aggregate below only sums and merges the per-group results that one
 // shared kernel emitted; it applies no co-location model. (The former
 // TCSharing/MergeSimResults analytic merge — divide the sum by S for
 // host-sequenced protocols — is gone: the contrast it hard-coded now
 // emerges from per-machine contention.)
 
 // Aggregate merges per-group results emitted by one shared-kernel run into
-// one cluster-level result. Throughput and counters sum; mean/p50 latencies
-// are weighted by each group's completions; p99 takes the worst group
-// (conservative).
+// one cluster-level result. Throughput and counters sum; latencies come
+// from the groups' latency histograms merged bucket by bucket, so the
+// mean, p50 and p99 are those of the pooled operations.
 func Aggregate(groups []sim.Results) sim.Results {
-	if len(groups) == 0 {
-		return sim.Results{}
-	}
 	var agg sim.Results
-	var latWeight float64
-	var meanAcc, p50Acc float64
-	var leaseWeight, leaseP50Acc float64
 	for _, r := range groups {
 		agg.Throughput += r.Throughput
 		agg.Completed += r.Completed
@@ -54,23 +48,12 @@ func Aggregate(groups []sim.Results) sim.Results {
 		agg.CertsSent += r.CertsSent
 		agg.LeaseReads += r.LeaseReads
 		agg.LeaseFallbacks += r.LeaseFallbacks
-		w := float64(r.Completed)
-		meanAcc += w * float64(r.MeanLat)
-		p50Acc += w * float64(r.P50Lat)
-		latWeight += w
-		lw := float64(r.LeaseReads)
-		leaseP50Acc += lw * float64(r.LeaseReadP50)
-		leaseWeight += lw
-		if r.P99Lat > agg.P99Lat {
-			agg.P99Lat = r.P99Lat
-		}
+		agg.Latency.Merge(&r.Latency)
+		agg.LeaseLatency.Merge(&r.LeaseLatency)
 	}
-	if latWeight > 0 {
-		agg.MeanLat = time.Duration(meanAcc / latWeight)
-		agg.P50Lat = time.Duration(p50Acc / latWeight)
-	}
-	if leaseWeight > 0 {
-		agg.LeaseReadP50 = time.Duration(leaseP50Acc / leaseWeight)
-	}
+	agg.MeanLat = time.Duration(agg.Latency.Mean())
+	agg.P50Lat = time.Duration(agg.Latency.Quantile(50))
+	agg.P99Lat = time.Duration(agg.Latency.Quantile(99))
+	agg.LeaseReadP50 = time.Duration(agg.LeaseLatency.Quantile(50))
 	return agg
 }

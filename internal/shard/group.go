@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"flexitrust/internal/metrics"
+	"flexitrust/internal/obs"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/types"
 )
@@ -19,27 +19,28 @@ type Group struct {
 
 	inner     *runtime.Cluster
 	watermark Watermark
+	// lat records every committed operation's latency: the observer's
+	// shard_op_latency_ns{group=G} when the cluster is observed, a private
+	// histogram otherwise. Its count is the group's commit count.
+	lat *obs.Histogram
 
 	mu        sync.Mutex
-	collector *metrics.Collector
 	submitted uint64
 	inflight  int
-	start     time.Time
 }
 
 // newGroup boots one shard's runtime cluster. cfg must already carry the
-// shard's trusted-counter namespace and seed.
+// shard's trusted-counter namespace and seed (and its Engine.Observer).
 func newGroup(idx int, cfg runtime.ClusterConfig) (*Group, error) {
 	inner, err := runtime.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Group{
-		Index:     idx,
-		inner:     inner,
-		collector: metrics.NewCollector(0),
-		start:     time.Now(),
-	}, nil
+	lat := cfg.Engine.Observer.Metrics().Histogram(obs.GroupLabel(obs.MShardOpLatency, idx))
+	if lat == nil {
+		lat = &obs.Histogram{}
+	}
+	return &Group{Index: idx, inner: inner, lat: lat}, nil
 }
 
 // NewClient attaches a client library to this group.
@@ -52,9 +53,7 @@ func (g *Group) Runtime() *runtime.Cluster { return g.inner }
 // consensus sequence number and its latency joins the shard's metrics.
 func (g *Group) noteCommit(seq types.SeqNum, latency time.Duration) {
 	g.watermark.Advance(seq)
-	g.mu.Lock()
-	g.collector.Record(time.Since(g.start), latency)
-	g.mu.Unlock()
+	g.lat.ObserveDuration(latency)
 }
 
 // noteSubmit counts an operation routed to this shard and marks it in
@@ -101,11 +100,7 @@ func (g *Group) probeViews() (view types.View, viewChanges uint64) {
 }
 
 // committedOps returns the group's client-observed commit count.
-func (g *Group) committedOps() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.collector.TotalDone()
-}
+func (g *Group) committedOps() uint64 { return g.lat.Count() }
 
 // Watermark returns the shard's committed-sequence watermark.
 func (g *Group) Watermark() types.SeqNum { return g.watermark.Load() }
@@ -127,32 +122,28 @@ type GroupStats struct {
 
 // Stats snapshots the group's counters (including a live view probe).
 func (g *Group) Stats() GroupStats {
-	view, vcs := g.probeViews()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return GroupStats{
-		Shard:       g.Index,
-		Submitted:   g.submitted,
-		Committed:   g.collector.TotalDone(),
-		Watermark:   g.watermark.Load(),
-		MeanLat:     g.collector.MeanLatency(),
-		P99Lat:      g.collector.Percentile(99),
-		View:        view,
-		ViewChanges: vcs,
-	}
+	st, _ := g.stats()
+	return st
 }
 
-// snapshotCollector copies the group's collector under its lock so
-// cluster-level merging never races with concurrent Record calls. The copy
-// carries the group's current view-change count so metrics.Merge can sum
-// degradation alongside throughput.
-func (g *Group) snapshotCollector() *metrics.Collector {
-	_, vcs := g.probeViews()
+// stats is Stats plus a copy of the group's latency histogram, which
+// cluster-level numbers pool.
+func (g *Group) stats() (GroupStats, obs.HistogramData) {
+	view, vcs := g.probeViews()
+	lat := g.lat.Snapshot()
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	snap := g.collector.Clone()
-	snap.SetViewChanges(vcs)
-	return snap
+	submitted := g.submitted
+	g.mu.Unlock()
+	return GroupStats{
+		Shard:       g.Index,
+		Submitted:   submitted,
+		Committed:   lat.Count(),
+		Watermark:   g.watermark.Load(),
+		MeanLat:     time.Duration(lat.Mean()),
+		P99Lat:      time.Duration(lat.Quantile(99)),
+		View:        view,
+		ViewChanges: vcs,
+	}, lat
 }
 
 // Stop halts every replica in the group.

@@ -41,8 +41,8 @@
 //     epoch bump bound to one attested access in the first-wins-per-epoch
 //     log so concurrent orchestrators can never both re-point a range.
 //   - Aggregate metrics merge per-shard throughput and latency into
-//     cluster-level numbers (metrics.Merge), including per-group view
-//     numbers and view-change counts.
+//     cluster-level numbers (latency histograms merge bucket by bucket),
+//     including per-group view numbers and view-change counts.
 //
 // The simulation substrate is served by this package too: Aggregate sums
 // the per-group results that one shared discrete-event kernel
@@ -66,7 +66,6 @@ import (
 	"time"
 
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/runtime"
 	"flexitrust/internal/trusted"
@@ -284,26 +283,21 @@ func (c *Cluster) Flight() *obs.FlightRecorder { return c.flight }
 // as one versioned flexitrust-obs/v1 document.
 func (c *Cluster) ObserveSnapshot() obs.Export { return c.exporter.Snapshot() }
 
-// shardExports adapts per-group stats (and the groups' metrics collectors'
-// truncation accounting) to the export schema.
+// shardExports adapts per-group stats to the export schema.
 func (c *Cluster) shardExports() []obs.ShardExport {
 	health := c.mon.sample(false)
 	out := make([]obs.ShardExport, 0, len(c.groups))
 	for i, g := range c.groups {
 		st := g.Stats()
-		col := g.snapshotCollector()
 		se := obs.ShardExport{
-			Shard:          st.Shard,
-			Submitted:      st.Submitted,
-			Committed:      st.Committed,
-			Watermark:      uint64(st.Watermark),
-			MeanLatNs:      int64(st.MeanLat),
-			P99LatNs:       int64(st.P99Lat),
-			View:           uint64(st.View),
-			ViewChanges:    st.ViewChanges,
-			LatencySamples: col.SampledCount(),
-			DroppedSamples: col.Dropped(),
-			Truncated:      col.Truncated(),
+			Shard:       st.Shard,
+			Submitted:   st.Submitted,
+			Committed:   st.Committed,
+			Watermark:   uint64(st.Watermark),
+			MeanLatNs:   int64(st.MeanLat),
+			P99LatNs:    int64(st.P99Lat),
+			View:        uint64(st.View),
+			ViewChanges: st.ViewChanges,
 		}
 		if i < len(health) {
 			se.Health = health[i].State.String()
@@ -420,34 +414,29 @@ func (c *Cluster) Stop() {
 type Stats struct {
 	PerShard []GroupStats
 	// Committed is the cluster-wide committed-operation count; MeanLat and
-	// P99Lat are over the pooled latency samples of all shards.
+	// P99Lat are over the pooled operations of all shards.
 	Committed uint64
 	MeanLat   time.Duration
 	P99Lat    time.Duration
 	// ViewChanges is the cluster-wide count of installed views after
-	// genesis (summed over groups by metrics.Merge) — nonzero means some
-	// shard lost a primary during the run.
+	// genesis (summed over groups) — nonzero means some shard lost a
+	// primary during the run.
 	ViewChanges uint64
 }
 
-// Stats merges every group's counters (metrics.Merge pools the samples).
+// Stats sums every group's counters and merges their latency histograms.
 func (c *Cluster) Stats() Stats {
 	st := Stats{}
-	collectors := make([]*metrics.Collector, 0, len(c.groups))
+	var pooled obs.HistogramData
 	for _, g := range c.groups {
-		st.PerShard = append(st.PerShard, g.Stats())
-		collectors = append(collectors, g.snapshotCollector())
+		gs, lat := g.stats()
+		st.PerShard = append(st.PerShard, gs)
+		st.ViewChanges += gs.ViewChanges
+		pooled.Merge(&lat)
 	}
-	// Every group collector is built identically (same open window), so a
-	// window mismatch here is a programming error, not a runtime state.
-	merged, err := metrics.Merge(collectors...)
-	if err != nil {
-		panic(err)
-	}
-	st.Committed = merged.TotalDone()
-	st.MeanLat = merged.MeanLatency()
-	st.P99Lat = merged.Percentile(99)
-	st.ViewChanges = merged.ViewChanges()
+	st.Committed = pooled.Count()
+	st.MeanLat = time.Duration(pooled.Mean())
+	st.P99Lat = time.Duration(pooled.Quantile(99))
 	return st
 }
 

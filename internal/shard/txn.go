@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/obs"
 	"flexitrust/internal/txn"
 	"flexitrust/internal/types"
 )
@@ -43,9 +42,7 @@ func (s *Session) submitShardSeq(ctx context.Context, shardIdx int, op *kvstore.
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	lat := time.Since(start)
-	g.noteCommit(seq, lat)
-	s.c.obs.Metrics().Histogram(obs.GroupLabel(obs.MShardOpLatency, shardIdx)).ObserveDuration(lat)
+	g.noteCommit(seq, time.Since(start))
 	return res, seq, view, nil
 }
 

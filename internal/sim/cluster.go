@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flexitrust/internal/engine"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
@@ -68,9 +67,10 @@ type Results struct {
 	// changes mean the group lost a primary mid-run.
 	FinalView   types.View
 	ViewChanges uint64
-	// Truncated reports that the collector dropped latency samples past its
-	// cap: MeanLat/P50Lat/P99Lat are estimates over the retained samples.
-	Truncated bool
+	// Latency holds the latencies of the window's completions (MeanLat,
+	// P50Lat and P99Lat are read from it); LeaseLatency those of the leased
+	// reads alone. Per-group histograms merge exactly (shard.Aggregate).
+	Latency, LeaseLatency obs.HistogramData
 	// LeaseReads counts reads the leased fast path served inside the
 	// measurement window; LeaseFallbacks counts fast-path attempts over the
 	// whole run that fell back to consensus (lease missing, refused, stale
@@ -182,9 +182,6 @@ func (c *Cluster) InjectRequest(at time.Duration, to types.ReplicaID, req *types
 		c.g.scheduleMessage(c.mc.now+c.g.cfg.Topo.ClientLink(int(to)), c.g.poolIdx(), int(to), req)
 	})
 }
-
-// Collector exposes the client pool's metrics collector.
-func (c *Cluster) Collector() *metrics.Collector { return c.g.pool.collector }
 
 // Pool returns client-pool statistics: outstanding txns, resends, certs.
 func (c *Cluster) Pool() (outstanding int, resends, certs uint64) {

@@ -71,7 +71,7 @@ type FailoverDriver struct {
 	recoveredAt []time.Duration
 	firstAfter  time.Duration
 
-	pre, dip, post windowStats
+	pre, dip, post obs.HistogramData // probe latencies per phase
 }
 
 // FailoverDriverConfig parameterizes the driver.
@@ -253,11 +253,11 @@ func (d *FailoverDriver) recordProbe(c int, started, completed time.Duration) {
 	lat := completed - started
 	switch {
 	case completed <= d.crashAt:
-		d.pre.add(lat)
+		d.pre.ObserveDuration(lat)
 	case d.flipAt != 0 && started >= d.flipAt:
-		d.post.add(lat)
+		d.post.ObserveDuration(lat)
 	default:
-		d.dip.add(lat)
+		d.dip.ObserveDuration(lat)
 	}
 }
 
@@ -455,13 +455,13 @@ func (d *FailoverDriver) Results() FailoverResults {
 		TCAccesses:      d.tcAccesses,
 		ProbeRetries:    d.retries,
 		DecisionsDriven: d.driven,
-		PreCompleted:    d.pre.n,
-		DipCompleted:    d.dip.n,
-		PostCompleted:   d.post.n,
-		PreMeanLat:      d.pre.Mean(),
-		DipMeanLat:      d.dip.Mean(),
-		PostMeanLat:     d.post.Mean(),
-		DipMaxLat:       d.dip.max,
+		PreCompleted:    d.pre.Count(),
+		DipCompleted:    d.dip.Count(),
+		PostCompleted:   d.post.Count(),
+		PreMeanLat:      time.Duration(d.pre.Mean()),
+		DipMeanLat:      time.Duration(d.dip.Mean()),
+		PostMeanLat:     time.Duration(d.post.Mean()),
+		DipMaxLat:       time.Duration(d.dip.Max()),
 		ViewChanges:     vcs,
 	}
 	if d.firstAfter > 0 {
@@ -478,10 +478,10 @@ func (d *FailoverDriver) Results() FailoverResults {
 		}
 	}
 	if pre := d.crashAt - d.winStart; pre > 0 {
-		res.PreThroughput = float64(d.pre.n) / pre.Seconds()
+		res.PreThroughput = float64(d.pre.Count()) / pre.Seconds()
 	}
 	if post := d.winEnd - d.flipAt; d.flipAt > 0 && post > 0 {
-		res.PostThroughput = float64(d.post.n) / post.Seconds()
+		res.PostThroughput = float64(d.post.Count()) / post.Seconds()
 	}
 	return res
 }

@@ -307,12 +307,12 @@ func (mc *MultiCluster) Run(warmup, measure time.Duration) []Results {
 		if g.cfg.Clients > 0 || mc.txnDriver != nil || mc.rebDriver != nil || mc.failDriver != nil {
 			g.pool.start(ramp)
 		}
-		g.pool.collector.SetWindow(warmup, warmup+measure)
-		g.pool.leaseCol.SetWindow(warmup, warmup+measure)
+		g.pool.lat.start, g.pool.lat.end = warmup, warmup+measure
+		g.pool.leaseLat.start, g.pool.leaseLat.end = warmup, warmup+measure
 	}
 	if mc.txnDriver != nil {
 		mc.txnDriver.start(ramp)
-		mc.txnDriver.collector.SetWindow(warmup, warmup+measure)
+		mc.txnDriver.lat.start, mc.txnDriver.lat.end = warmup, warmup+measure
 	}
 	if mc.rebDriver != nil {
 		mc.rebDriver.start(ramp, warmup, measure)
@@ -328,26 +328,29 @@ func (mc *MultiCluster) Run(warmup, measure time.Duration) []Results {
 	return out
 }
 
-// results summarizes the group's measurement window.
+// results summarizes the group's measurement window: every completion,
+// consensus or leased, counts once.
 func (g *group) results(measure time.Duration) Results {
-	col := g.pool.collector
+	lat := g.pool.lat.hist
+	lat.Merge(&g.pool.leaseLat.hist)
 	view, vcs := g.viewStats()
 	return Results{
-		Throughput:  col.Throughput(measure),
-		MeanLat:     col.MeanLatency(),
-		P50Lat:      col.Percentile(50),
-		P99Lat:      col.Percentile(99),
-		Completed:   col.Completed(),
+		Throughput:  perSecond(lat.Count(), measure),
+		MeanLat:     time.Duration(lat.Mean()),
+		P50Lat:      time.Duration(lat.Quantile(50)),
+		P99Lat:      time.Duration(lat.Quantile(99)),
+		Completed:   lat.Count(),
+		Latency:     lat,
 		Events:      g.events,
 		Resends:     g.pool.resends,
 		CertsSent:   g.pool.certsSent,
 		FinalView:   view,
 		ViewChanges: vcs,
-		Truncated:   col.Truncated(),
 
-		LeaseReads:     g.pool.leaseCol.Completed(),
+		LeaseReads:     g.pool.leaseLat.hist.Count(),
 		LeaseFallbacks: g.pool.leaseFalls,
-		LeaseReadP50:   g.pool.leaseCol.Percentile(50),
+		LeaseReadP50:   time.Duration(g.pool.leaseLat.hist.Quantile(50)),
+		LeaseLatency:   g.pool.leaseLat.hist,
 	}
 }
 

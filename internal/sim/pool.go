@@ -8,7 +8,6 @@ import (
 	"flexitrust/internal/crypto"
 	"flexitrust/internal/engine"
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/types"
@@ -43,7 +42,7 @@ type poolTxn struct {
 	req        *types.ClientRequest
 	// cb, when set, marks an externally-submitted request (the cross-group
 	// transaction driver): completion calls cb instead of recording into
-	// the pool's collector and issuing a closed-loop replacement.
+	// the pool's latency window and issuing a closed-loop replacement.
 	cb func(value []byte)
 }
 
@@ -104,7 +103,7 @@ type clientPool struct {
 	nextReq    []uint64
 	txns       map[types.RequestKey]*poolTxn
 	batches    map[types.SeqNum]*batchState
-	collector  *metrics.Collector
+	lat        latWindow // consensus-path completions
 	primary    int
 	view       types.View
 	timerGen   map[types.TimerID]uint64
@@ -130,9 +129,32 @@ type clientPool struct {
 	leaseSeq      uint64
 	nextLeaseRead uint64
 	leaseReadsOut map[uint64]*leaseRead
-	leaseCol      *metrics.Collector
+	leaseLat      latWindow    // leased fast-path reads
 	watermark     types.SeqNum // highest committed seq observed (the fence)
 	leaseFalls    uint64       // whole-run fallback count (health signal)
+}
+
+// latWindow records the latencies of completions inside the measurement
+// window [start, end) of virtual time (end 0 leaves it open); its
+// histogram's count is the window's completion count.
+type latWindow struct {
+	start, end time.Duration
+	hist       obs.HistogramData
+}
+
+func (w *latWindow) record(now, latency time.Duration) {
+	if now >= w.start && (w.end == 0 || now < w.end) {
+		w.hist.ObserveDuration(latency)
+	}
+}
+
+// perSecond returns n completions over a window of length d (0 for an
+// empty window).
+func perSecond(n uint64, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d.Seconds()
 }
 
 // leaseRead tracks one outstanding leased fast-path read.
@@ -160,11 +182,9 @@ func newClientPool(g *group) *clientPool {
 		nextReq:       make([]uint64, g.cfg.Clients),
 		txns:          make(map[types.RequestKey]*poolTxn, g.cfg.Clients),
 		batches:       make(map[types.SeqNum]*batchState),
-		collector:     metrics.NewCollector(1 << 21),
 		timerGen:      make(map[types.TimerID]uint64),
 		leaseOn:       g.cfg.Engine.ReadLease,
 		leaseReadsOut: make(map[uint64]*leaseRead),
-		leaseCol:      metrics.NewCollector(1 << 21),
 	}
 }
 
@@ -384,8 +404,7 @@ func (p *clientPool) onLeaseReadReply(r *types.LeaseReadReply) {
 		r.Watermark >= lr.fence
 	if served && bound && p.leaseAttestValid(r) {
 		now := p.g.now()
-		p.collector.Record(now, now-lr.sent)
-		p.leaseCol.Record(now, now-lr.sent)
+		p.leaseLat.record(now, now-lr.sent)
 		p.issue(lr.ci)
 		return
 	}
@@ -501,7 +520,7 @@ func (p *clientPool) complete(seq types.SeqNum, bs *batchState, tally *respTally
 			txn.cb(append([]byte(nil), res.Value...))
 			continue
 		}
-		p.collector.Record(p.g.now(), p.g.now()-txn.sent)
+		p.lat.record(p.g.now(), p.g.now()-txn.sent)
 		p.issue(int(res.Client) - 1)
 	}
 }

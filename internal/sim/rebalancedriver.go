@@ -59,30 +59,8 @@ type RebalanceDriver struct {
 	retries          uint64
 	driven           int
 
-	pre, dip, post windowStats
-}
-
-// windowStats accumulates probe completions for one phase of the run.
-type windowStats struct {
-	n   uint64
-	sum time.Duration
-	max time.Duration
-}
-
-func (w *windowStats) add(lat time.Duration) {
-	w.n++
-	w.sum += lat
-	if lat > w.max {
-		w.max = lat
-	}
-}
-
-// Mean returns the window's mean latency.
-func (w windowStats) Mean() time.Duration {
-	if w.n == 0 {
-		return 0
-	}
-	return w.sum / time.Duration(w.n)
+	// pre, dip and post record probe latencies in each phase of the run.
+	pre, dip, post obs.HistogramData
 }
 
 // RebalanceDriverConfig parameterizes the driver.
@@ -224,11 +202,11 @@ func (d *RebalanceDriver) recordProbe(started, completed time.Duration) {
 	lat := completed - started
 	switch {
 	case d.freezeAt == 0 || completed < d.freezeAt:
-		d.pre.add(lat)
+		d.pre.ObserveDuration(lat)
 	case d.flipAt != 0 && started >= d.flipAt:
-		d.post.add(lat)
+		d.post.ObserveDuration(lat)
 	default:
-		d.dip.add(lat)
+		d.dip.ObserveDuration(lat)
 	}
 }
 
@@ -354,22 +332,22 @@ func (d *RebalanceDriver) Results() RebalanceResults {
 		TCAccesses:      d.tcAccesses,
 		ProbeRetries:    d.retries,
 		DecisionsDriven: d.driven,
-		PreCompleted:    d.pre.n,
-		DipCompleted:    d.dip.n,
-		PostCompleted:   d.post.n,
-		PreMeanLat:      d.pre.Mean(),
-		DipMeanLat:      d.dip.Mean(),
-		PostMeanLat:     d.post.Mean(),
-		DipMaxLat:       d.dip.max,
+		PreCompleted:    d.pre.Count(),
+		DipCompleted:    d.dip.Count(),
+		PostCompleted:   d.post.Count(),
+		PreMeanLat:      time.Duration(d.pre.Mean()),
+		DipMeanLat:      time.Duration(d.dip.Mean()),
+		PostMeanLat:     time.Duration(d.post.Mean()),
+		DipMaxLat:       time.Duration(d.dip.Max()),
 	}
 	if d.flipAt > d.freezeAt {
 		res.MigrationWindow = d.flipAt - d.freezeAt
 	}
 	if pre := d.freezeAt - d.winStart; pre > 0 {
-		res.PreThroughput = float64(d.pre.n) / pre.Seconds()
+		res.PreThroughput = float64(d.pre.Count()) / pre.Seconds()
 	}
 	if post := d.winEnd - d.flipAt; d.flipAt > 0 && post > 0 {
-		res.PostThroughput = float64(d.post.n) / post.Seconds()
+		res.PostThroughput = float64(d.post.Count()) / post.Seconds()
 	}
 	return res
 }

@@ -158,10 +158,10 @@ func TestDropRuleSilencesLink(t *testing.T) {
 		// Cut replica 0 (primary) off from replica 3 entirely.
 		c.DropLink(0, 3, 0, nil)
 	})
-	c.Run(100*time.Millisecond, 300*time.Millisecond)
+	res := c.Run(100*time.Millisecond, 300*time.Millisecond)
 	// Replica 3 still converges via prepares from 1,2 — but it can never
 	// have seen a preprepare directly, so votes must have come from peers.
-	if c.Collector().Completed() == 0 {
+	if res.Completed == 0 {
 		t.Fatal("cluster stalled although only one link was cut")
 	}
 }
@@ -265,4 +265,49 @@ func TestTCSerializationShowsInThroughput(t *testing.T) {
 			t.Fatalf("co-hosting a second FlexiBFT group should not pile onto one machine's TC: %v -> %v (>1.1x)", one, two)
 		}
 	})
+}
+
+// TestWindowedCounting checks that only completions inside the measurement
+// window count, and that throughput and mean latency cover exactly those.
+func TestWindowedCounting(t *testing.T) {
+	w := latWindow{start: time.Second, end: 3 * time.Second}
+	w.record(500*time.Millisecond, 10*time.Millisecond)  // before window
+	w.record(1500*time.Millisecond, 20*time.Millisecond) // inside
+	w.record(2500*time.Millisecond, 30*time.Millisecond) // inside
+	w.record(3500*time.Millisecond, 40*time.Millisecond) // after
+	if w.hist.Count() != 2 {
+		t.Fatalf("windowed completions = %d, want 2", w.hist.Count())
+	}
+	if got := perSecond(w.hist.Count(), 2*time.Second); got != 1.0 {
+		t.Fatalf("throughput = %v, want 1.0", got)
+	}
+	if got := time.Duration(w.hist.Mean()); got != 25*time.Millisecond {
+		t.Fatalf("mean latency = %v, want 25ms", got)
+	}
+}
+
+// TestEmptyWindowSafe checks that a window with no completions reports
+// zeros, and that a zero-length window does not divide by zero.
+func TestEmptyWindowSafe(t *testing.T) {
+	w := latWindow{start: time.Second, end: 3 * time.Second}
+	if w.hist.Count() != 0 || w.hist.Mean() != 0 || w.hist.Quantile(99) != 0 {
+		t.Fatal("empty window should report zeros")
+	}
+	if perSecond(w.hist.Count(), time.Second) != 0 {
+		t.Fatal("empty window must report zero throughput")
+	}
+	if perSecond(5, 0) != 0 {
+		t.Fatal("zero-length window must not divide by zero")
+	}
+}
+
+// TestOpenWindow checks that end 0 leaves the window open.
+func TestOpenWindow(t *testing.T) {
+	var w latWindow
+	for i := 0; i < 5; i++ {
+		w.record(time.Duration(i)*time.Hour, time.Millisecond)
+	}
+	if w.hist.Count() != 5 {
+		t.Fatalf("open window counted %d, want 5", w.hist.Count())
+	}
 }

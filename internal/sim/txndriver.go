@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flexitrust/internal/kvstore"
-	"flexitrust/internal/metrics"
 	"flexitrust/internal/obs"
 	"flexitrust/internal/trusted"
 	"flexitrust/internal/txn"
@@ -39,7 +38,7 @@ type TxnDriver struct {
 	cfg TxnDriverConfig
 	rng *rand.Rand
 
-	collector *metrics.Collector
+	lat latWindow // decisions, to the attested decision point
 	// arb holds, per machine, the decision counter's namespaced view of
 	// that machine's component.
 	arb []trusted.Component
@@ -94,12 +93,11 @@ func (mc *MultiCluster) AttachTxnDriver(cfg TxnDriverConfig) *TxnDriver {
 		cfg.WritesPerShard = 1
 	}
 	d := &TxnDriver{
-		mc:        mc,
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 5)),
-		collector: metrics.NewCollector(1 << 20),
-		tenant:    len(mc.groups),
-		nextReq:   make([][]uint64, cfg.Coordinators),
+		mc:      mc,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed + 5)),
+		tenant:  len(mc.groups),
+		nextReq: make([][]uint64, cfg.Coordinators),
 	}
 	for c := range d.nextReq {
 		d.nextReq[c] = make([]uint64, len(mc.groups))
@@ -217,7 +215,7 @@ func (d *TxnDriver) onVote(st *driverTxn, vote string) {
 	// latency is client-observed at the decision point. Phase 2 still runs
 	// before this coordinator's loop continues.
 	d.mc.schedule(&event{at: finish, kind: evFunc, fn: func() {
-		d.collector.Record(d.mc.now, d.mc.now-st.start)
+		d.lat.record(d.mc.now, d.mc.now-st.start)
 		st.pending = len(st.groups)
 		for _, g := range st.groups {
 			g := g
@@ -254,11 +252,11 @@ type TxnResults struct {
 // window length.
 func (d *TxnDriver) Results(measure time.Duration) TxnResults {
 	return TxnResults{
-		Throughput: d.collector.Throughput(measure),
-		MeanLat:    d.collector.MeanLatency(),
-		P50Lat:     d.collector.Percentile(50),
-		P99Lat:     d.collector.Percentile(99),
-		Completed:  d.collector.Completed(),
+		Throughput: perSecond(d.lat.hist.Count(), measure),
+		MeanLat:    time.Duration(d.lat.hist.Mean()),
+		P50Lat:     time.Duration(d.lat.hist.Quantile(50)),
+		P99Lat:     time.Duration(d.lat.hist.Quantile(99)),
+		Completed:  d.lat.hist.Count(),
 		Decisions:  d.decisions,
 		Committed:  d.committed,
 		Aborted:    d.aborted,

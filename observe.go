@@ -118,8 +118,7 @@ func (c *ShardedCluster) Observe() *Observer { return c.inner.Observe() }
 
 // ObserveSnapshot renders the whole cluster's observability state as one
 // flexitrust-obs/v1 document: every stream with retained/dropped counts,
-// fired alerts, and per-shard consensus stats (latency-sample truncation
-// included).
+// fired alerts, and per-shard consensus stats.
 func (c *ShardedCluster) ObserveSnapshot() ObsExport { return c.inner.ObserveSnapshot() }
 
 // ObserveHandler serves the cluster's admin endpoints — /metrics
